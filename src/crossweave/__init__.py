@@ -11,6 +11,7 @@ it all for the command line.
 
 from .cross_extension import (
     AnchorSet,
+    Axis,
     CrossFunction,
     base_value,
     build_cross,
@@ -52,6 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnchorSet",
+    "Axis",
     "Box",
     "CrossFunction",
     "DEFAULT_SEED",

@@ -118,9 +118,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_rows(
-    woven: WovenFunction, args: argparse.Namespace
-) -> tuple[list[Rational], list[Rational]]:
+def _grid_rows(args: argparse.Namespace) -> tuple[list[Rational], list[Rational]]:
     d = args.denominator
     if d < 1:
         raise ValueError("denominator must be at least 1")
@@ -143,7 +141,7 @@ def _grid_rows(
 def _cmd_grid(args: argparse.Namespace) -> int:
     woven = WovenFunction()
     try:
-        xs, ys = _grid_rows(woven, args)
+        xs, ys = _grid_rows(args)
         # resolve every level first so a refusal happens before any output
         for x in xs:
             woven.pairing.x_level(x, max_level=args.max_level)
@@ -188,6 +186,9 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.depth is not None and args.depth < 1:
+        print(f"refused: depth must be at least 1, got {args.depth}", file=sys.stderr)
+        return 2
     reports = run_suite(args.suite, depth=args.depth, seed=args.seed)
     if args.format == "json":
         print(json.dumps([report.to_dict() for report in reports], indent=2))

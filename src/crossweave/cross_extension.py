@@ -20,16 +20,25 @@ Level 0 has a single anchor and is special: its function is the bare hat
 
 Evaluation comes in two flavors kept deliberately separate: `hat_value` and
 `tent_sum` are direct transcriptions of the definitions (linear scans, used
-as the reference path in tests), while `CrossFunction.value_at` exploits the
-disjoint supports: anchors on each line of the cross are sorted, so the
-nearest anchor and the at-most-one tent covering a point are found by
-bisection.
+as the reference path in tests), while `CrossFunction.value_at` goes through
+the nearest nonzero anchor alone.  Because r is at most half the minimum
+anchor separation, a point p within r of an anchor a is more than r from
+every other anchor, so a is p's nearest anchor and the product is
+v_a * (1 - d) * (1 - d/r), with d the distance from p to a; a point within
+r of no anchor gets 0.  An anchor on the other line of the cross lies at
+least one coordinate gap, hence at least 2r, from every point of this line
+(the center, on both lines, is the exception).  So a cross keeps only the
+nonzero anchors of each line, sorted, with the center on both, and one
+bisection over that short list evaluates a point.  The radius itself comes
+from `Axis`, the sorted coordinates a tower has placed on each axis: the
+minimum anchor separation is the smaller of the two axes' minimum gaps.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .pairing import Point
@@ -65,12 +74,17 @@ class AnchorSet:
     def items(self) -> tuple[tuple[Point, Rational], ...]:
         return tuple(zip(self.points, self.values))
 
+    @cached_property
+    def separation(self) -> Rational | None:
+        """`min_pairwise_distance` of the points, computed once per set."""
+        return min_pairwise_distance(self.points)
+
 
 def min_pairwise_distance(points: tuple[Point, ...]) -> Rational | None:
     """Smallest L-infinity distance over all pairs; None if fewer than two points.
 
     Quadratic on purpose: this is the reference implementation against which
-    the sorted-gap shortcut used by `build_cross` is tested.
+    the axis-gap radius used by `build_cross` is tested.
     """
     best: Rational | None = None
     for i in range(len(points)):
@@ -99,7 +113,7 @@ def tent_sum(point: Point, anchors: AnchorSet, radius: Rational) -> Rational:
     """
     if radius <= 0:
         raise ValueError("tent radius must be positive")
-    separation = min_pairwise_distance(anchors.points)
+    separation = anchors.separation
     if separation is not None and 2 * radius > separation:
         raise ValueError("tent radius too large: supports would overlap")
     total = ZERO
@@ -122,87 +136,117 @@ def base_value(x0: Rational, y0: Rational, point: Point) -> Rational:
     return max(ZERO, ONE - linf(point, (x0, y0)))
 
 
-def _nearest(sorted_values: tuple[Rational, ...], value: Rational) -> tuple[int, Rational]:
-    """Index and distance of the entry of `sorted_values` closest to `value`."""
-    pos = bisect_left(sorted_values, value)
-    if pos == 0:
-        return 0, sorted_values[0] - value
-    if pos == len(sorted_values):
-        return pos - 1, value - sorted_values[-1]
-    left_gap = value - sorted_values[pos - 1]
-    right_gap = sorted_values[pos] - value
-    if left_gap <= right_gap:
-        return pos - 1, left_gap
-    return pos, right_gap
+class Axis:
+    """The coordinates placed on one axis so far, sorted, and their smallest gap.
+
+    A tower places x_n and y_n after building level n, so the next level's
+    tent radius costs one bisection per axis instead of a sort of all the
+    coordinates.
+    """
+
+    def __init__(self) -> None:
+        self._coordinates: list[Rational] = []
+        self.min_gap: Rational | None = None  # None until two are placed
+
+    def __len__(self) -> int:
+        return len(self._coordinates)
+
+    def min_gap_with(self, value: Rational) -> Rational:
+        """The smallest gap between placed coordinates once `value` joins them.
+
+        Refuses a coordinate already placed; needs at least one placed.
+        """
+        coordinates = self._coordinates
+        pos = bisect_left(coordinates, value)
+        if pos < len(coordinates) and coordinates[pos] == value:
+            raise ValueError("coordinates must be pairwise distinct per axis")
+        gaps = [abs(value - c) for c in coordinates[max(pos - 1, 0) : pos + 1]]
+        if self.min_gap is not None:
+            gaps.append(self.min_gap)
+        return min(gaps)
+
+    def place(self, value: Rational) -> None:
+        """Add a new coordinate, keeping the list sorted and the gap current."""
+        if self._coordinates:
+            self.min_gap = self.min_gap_with(value)
+        insort(self._coordinates, value)
 
 
 class CrossFunction:
-    """One level's interpolant, with precomputed data for fast exact evaluation.
+    """One level's interpolant, holding only what exact evaluation needs.
 
     Immutable after construction; build instances through `build_cross`.
     """
 
     def __init__(
         self,
-        level: int,
-        column_x: Rational,
-        row_y: Rational,
-        anchor_set: AnchorSet,
+        xs: tuple[Rational, ...],
+        ys: tuple[Rational, ...],
+        column_params: tuple[Rational, ...],
+        row_params: tuple[Rational, ...],
         radius: Rational,
         lipschitz_bound: Rational,
         column_line: tuple[tuple[Rational, ...], tuple[Rational, ...]],
         row_line: tuple[tuple[Rational, ...], tuple[Rational, ...]],
     ) -> None:
-        self.level = level
-        self.column_x = column_x
-        self.row_y = row_y
-        self.anchor_set = anchor_set
+        self.level = len(xs) - 1
+        self.column_x = xs[-1]
+        self.row_y = ys[-1]
         self.radius = radius
         self.lipschitz_bound = lipschitz_bound
-        # anchors on the vertical line, sorted by y, with parallel values
-        self._column_ys, self._column_values = column_line
-        # anchors on the horizontal line (excluding the center), sorted by x
-        self._row_xs, self._row_values = row_line
+        self._coordinates = xs, ys
+        self._params = column_params, row_params
+        # nonzero anchors of each line as (sorted coordinates, values); the
+        # center, value 1, is on both: its y on the column, its x on the row
+        self._column_line = column_line
+        self._row_line = row_line
+
+    @cached_property
+    def anchor_set(self) -> AnchorSet:
+        """Every anchor with its value, zeros included, for the reference path."""
+        (xs, ys), (column_params, row_params) = self._coordinates, self._params
+        points = tuple((self.column_x, y) for y in ys) + tuple(
+            (x, self.row_y) for x in xs[:-1]
+        )
+        return AnchorSet(points, (*column_params, ONE, *row_params))
 
     def on_cross(self, point: Point) -> bool:
         return point[0] == self.column_x or point[1] == self.row_y
 
     def value_at(self, point: Point) -> Rational:
-        """Exact value at a point of the cross.
+        """Exact value at a point of the cross, through its nearest nonzero anchor.
 
-        The hat factor needs only the distance to the nearest anchor, and
-        anchors live on two axis-parallel lines, so per line the minimum is
-        max(line offset, nearest coordinate gap) with the gap found by
-        bisection.  The tent factor needs the at-most-one anchor within the
-        tent radius; disjointness of supports means only the nearest anchor
-        of each line can qualify.
+        The tent radius r is at most half the minimum anchor separation, so
+        the tent supports are disjoint, and a point p within r of an anchor
+        a is nearer to a than to any other anchor (those are more than
+        2r - r = r away).  So value(p) = v_a * (1 - d) * (1 - d/r) with d
+        the distance from p to a, and value(p) = 0 when no anchor, or only
+        a zero-valued one, lies within r.  An anchor on the other line of
+        the cross is at least one coordinate gap, hence at least 2r, from
+        every point of this line; only the center lies on both lines, and
+        it is stored with each.  So one bisection over the nonzero anchors
+        of p's own line finds the only two candidates, its neighbors.
         """
-        if not self.on_cross(point):
+        px, py = point
+        if px == self.column_x:
+            (coordinates, values), t = self._column_line, py
+        elif py == self.row_y:
+            (coordinates, values), t = self._row_line, px
+        else:
             raise ValueError(f"point lies off the level-{self.level} cross")
         if self.level == 0:
             return base_value(self.column_x, self.row_y, point)
-        px, py = point
-        column_offset = abs(px - self.column_x)
-        row_offset = abs(py - self.row_y)
-        near_column_index, near_column_gap = _nearest(self._column_ys, py)
-        near_row_index, near_row_gap = _nearest(self._row_xs, px)
-        nearest = min(
-            max(column_offset, near_column_gap), max(row_offset, near_row_gap)
-        )
-        if nearest >= 1:
-            return ZERO
-        hat = ONE - nearest
         radius = self.radius
-        tent = ZERO
-        if column_offset < radius:
-            d = max(column_offset, near_column_gap)
+        pos = bisect_left(coordinates, t)
+        if pos < len(coordinates):
+            d = coordinates[pos] - t
             if d < radius:
-                tent = self._column_values[near_column_index] * (ONE - d / radius)
-        if tent == ZERO and row_offset < radius:
-            d = max(row_offset, near_row_gap)
+                return values[pos] * (ONE - d) * (ONE - d / radius)
+        if pos > 0:
+            d = t - coordinates[pos - 1]
             if d < radius:
-                tent = self._row_values[near_row_index] * (ONE - d / radius)
-        return hat * tent
+                return values[pos - 1] * (ONE - d) * (ONE - d / radius)
+        return ZERO
 
 
 def reference_value(cross: CrossFunction, point: Point) -> Rational:
@@ -216,26 +260,22 @@ def reference_value(cross: CrossFunction, point: Point) -> Rational:
     )
 
 
-def _min_anchor_distance(
-    xs: tuple[Rational, ...], ys: tuple[Rational, ...]
-) -> Rational:
-    """Minimum pairwise L-infinity distance among a level's anchors, by sorting.
+def _nonzero_line(
+    coordinates: tuple[Rational, ...], params: tuple[Rational, ...], center: Rational
+) -> tuple[tuple[Rational, ...], tuple[Rational, ...]]:
+    """The center (value 1) and the nonzero anchors of one line, sorted.
 
-    With anchors (x_n, y_i) for i <= n and (x_i, y_n) for i < n, every pair
-    on a shared line is separated by a coordinate gap, so those minima are
-    adjacent gaps of the sorted coordinate lists (the center (x_n, y_n) lies
-    on both lines).  A vertical-line anchor and a horizontal-line anchor not
-    sharing a line are separated by max(|x_n - x_j|, |y_n - y_i|), minimized
-    coordinatewise.  Requires level >= 1.
+    Refuses a prescribed value outside [0, 1); a zero one is in range, so
+    only the nonzero ones need comparing, and it is dropped.
     """
-    center_x, center_y = xs[-1], ys[-1]
-    sorted_xs = sorted(xs)
-    sorted_ys = sorted(ys)
-    gap_x = min(b - a for a, b in zip(sorted_xs, sorted_xs[1:]))
-    gap_y = min(b - a for a, b in zip(sorted_ys, sorted_ys[1:]))
-    center_to_x = min(abs(center_x - x) for x in xs[:-1])
-    center_to_y = min(abs(center_y - y) for y in ys[:-1])
-    return min(gap_x, gap_y, max(center_to_x, center_to_y))
+    line = [(center, ONE)]
+    for coordinate, value in zip(coordinates, params):
+        if value:
+            if not (ZERO < value < ONE):
+                raise ValueError("prescribed values must lie in [0, 1)")
+            line.append((coordinate, value))
+    line.sort()
+    return tuple(c for c, _ in line), tuple(v for _, v in line)
 
 
 def build_cross(
@@ -244,58 +284,40 @@ def build_cross(
     ys: tuple[Rational, ...],
     column_params: tuple[Rational, ...],
     row_params: tuple[Rational, ...],
+    x_axis: Axis,
+    y_axis: Axis,
 ) -> CrossFunction:
     """Build the level-n interpolant from coordinates x_0..x_n, y_0..y_n.
 
     `column_params[i]` is the prescribed value at (x_n, y_i) and
     `row_params[i]` the one at (x_i, y_n), both required to lie in [0, 1);
-    the center (x_n, y_n) always gets value 1.  The tent radius is
-    min(1, half the minimum pairwise anchor distance) and the recorded
-    Lipschitz bound is 1 + 1/radius (1 for the bare hat at level 0).
+    the center (x_n, y_n) always gets value 1.  `x_axis` and `y_axis` hold
+    the earlier coordinates x_0..x_{n-1} and y_0..y_{n-1}; they are read,
+    not changed, and the caller places x_n and y_n once the level is built.
+
+    The tent radius is min(1, half the minimum pairwise anchor distance).
+    Two anchors on one line are a coordinate gap apart, and anchors on
+    different lines, other than the center, are max(|x_n - x_j|,
+    |y_n - y_i|) apart, which is no less than a gap.  So the minimum is the
+    smaller of the two axes' minimum gaps once x_n and y_n join them.  The
+    recorded Lipschitz bound is 1 + 1/radius (1 for the bare hat at level 0).
     """
     if len(xs) != level + 1 or len(ys) != level + 1:
         raise ValueError("need exactly level + 1 coordinates per axis")
-    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
-        raise ValueError("coordinates must be pairwise distinct per axis")
+    if len(x_axis) != level or len(y_axis) != level:
+        raise ValueError("axes must hold exactly the earlier levels' coordinates")
     if len(column_params) != level or len(row_params) != level:
         raise ValueError("need exactly one parameter per earlier level")
-    for value in (*column_params, *row_params):
-        if not (ZERO <= value < ONE):
-            raise ValueError("prescribed values must lie in [0, 1)")
-
     center_x, center_y = xs[-1], ys[-1]
-    points = tuple((center_x, y) for y in ys) + tuple((x, center_y) for x in xs[:-1])
-    values = (*column_params, ONE, *row_params)
-    anchor_set = AnchorSet(points, values)
-
     if level == 0:
         radius = ONE
         lipschitz = ONE
-        column_line: tuple[tuple[Rational, ...], tuple[Rational, ...]] = (
-            (center_y,),
-            (ONE,),
-        )
-        row_line: tuple[tuple[Rational, ...], tuple[Rational, ...]] = ((), ())
     else:
-        radius = min(ONE, _min_anchor_distance(xs, ys) / 2)
+        separation = min(x_axis.min_gap_with(center_x), y_axis.min_gap_with(center_y))
+        radius = min(ONE, separation / 2)
         lipschitz = ONE + ONE / radius
-        column_sorted = sorted(zip(ys, (*column_params, ONE)))
-        row_sorted = sorted(zip(xs[:-1], row_params))
-        column_line = (
-            tuple(y for y, _ in column_sorted),
-            tuple(v for _, v in column_sorted),
-        )
-        row_line = (
-            tuple(x for x, _ in row_sorted),
-            tuple(v for _, v in row_sorted),
-        )
+    column_line = _nonzero_line(ys, column_params, center_y)
+    row_line = _nonzero_line(xs, row_params, center_x)
     return CrossFunction(
-        level,
-        center_x,
-        center_y,
-        anchor_set,
-        radius,
-        lipschitz,
-        column_line,
-        row_line,
+        xs, ys, column_params, row_params, radius, lipschitz, column_line, row_line
     )

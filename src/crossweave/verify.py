@@ -509,10 +509,14 @@ def run_suite(
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite: {suite}")
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     woven = WovenFunction()
     if suite == "all":
         return [
             _run_one(woven, name, SUITE_DEFAULT_DEPTH[name], seed)
             for name in SUITE_DEFAULT_DEPTH
         ]
-    return [_run_one(woven, suite, depth or SUITE_DEFAULT_DEPTH[suite], seed)]
+    if depth is None:
+        depth = SUITE_DEFAULT_DEPTH[suite]
+    return [_run_one(woven, suite, depth, seed)]

@@ -18,15 +18,16 @@ the identical rational, and each vertical or horizontal section of the
 global function is a single F_m restricted to a line, hence continuous.
 
 The parameters are memoized level by level (the table is the construction),
-which keeps the total build cost for m levels at O(m^2) evaluations.  The
-prescribed values always land in [0, 1): the point (x_k, y_i) is never an
-anchor of the earlier F_i, and off its anchors a hat-tent product stays
-strictly below 1.
+so building m levels takes m(m - 1) evaluations, each one bisection over the
+few nonzero anchors of one line of an earlier cross, and one bisection per
+axis per level keeps the tent radius current.  The prescribed values always
+land in [0, 1): the point (x_k, y_i) is never an anchor of the earlier F_i,
+and off its anchors a hat-tent product stays strictly below 1.
 """
 
 from __future__ import annotations
 
-from .cross_extension import CrossFunction, build_cross
+from .cross_extension import Axis, CrossFunction, build_cross
 from .pairing import Pairing
 from .rationals import Rational
 
@@ -44,8 +45,9 @@ class WovenFunction:
         self.crosses: list[CrossFunction] = []
         self.column_params: list[tuple[Rational, ...]] = []
         self.row_params: list[tuple[Rational, ...]] = []
-        self._xs: list[Rational] = []
-        self._ys: list[Rational] = []
+        # the coordinates of the built levels, sorted, for the tent radius
+        self._x_axis = Axis()
+        self._y_axis = Axis()
         self._frozen_levels: int | None = None
 
     @property
@@ -74,16 +76,15 @@ class WovenFunction:
         if self._frozen_levels is not None:
             raise RuntimeError("woven function is frozen; no further levels")
         self.pairing.ensure_length(level + 1)
-        x_new, y_new = self.pairing.pairs[level]
-        column = tuple(
-            self.crosses[i].value_at((x_new, self._ys[i])) for i in range(level)
-        )
-        row = tuple(
-            self.crosses[i].value_at((self._xs[i], y_new)) for i in range(level)
-        )
-        self._xs.append(x_new)
-        self._ys.append(y_new)
-        cross = build_cross(level, tuple(self._xs), tuple(self._ys), column, row)
+        pairs = self.pairing.pairs
+        x_new, y_new = pairs[level]
+        crosses = self.crosses
+        column = tuple(crosses[i].value_at((x_new, pairs[i][1])) for i in range(level))
+        row = tuple(crosses[i].value_at((pairs[i][0], y_new)) for i in range(level))
+        xs, ys = zip(*pairs[: level + 1])
+        cross = build_cross(level, xs, ys, column, row, self._x_axis, self._y_axis)
+        self._x_axis.place(x_new)
+        self._y_axis.place(y_new)
         self.crosses.append(cross)
         self.column_params.append(column)
         self.row_params.append(row)

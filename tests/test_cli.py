@@ -141,6 +141,15 @@ class TestVerify:
         assert isinstance(payload, list) and payload[0]["passed"] is True
         assert payload[0]["name"] == "image_density"
 
+    @pytest.mark.parametrize(
+        "suite, depth", [("density", "-3"), ("singleton", "-1"), ("witness", "0")]
+    )
+    def test_depth_below_one_is_refused(self, capsys, suite, depth):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--depth", depth)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused: ") and err.count("\n") == 1
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["verify", "--suite", "everything"])

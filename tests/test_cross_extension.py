@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from crossweave.cross_extension import (
     AnchorSet,
+    Axis,
     base_value,
     build_cross,
     hat_value,
@@ -25,6 +26,16 @@ coordinate = st.fractions(
 unit_interval_open = st.fractions(
     min_value=Fraction(0), max_value=Fraction(15, 16), max_denominator=16
 )
+
+
+def build(level, xs, ys, column_params, row_params):
+    """build_cross with axes holding the earlier coordinates, as a tower keeps them."""
+    x_axis, y_axis = Axis(), Axis()
+    for x in xs[:-1]:
+        x_axis.place(x)
+    for y in ys[:-1]:
+        y_axis.place(y)
+    return build_cross(level, xs, ys, column_params, row_params, x_axis, y_axis)
 
 
 @st.composite
@@ -136,7 +147,7 @@ class TestBaseLevel:
             base_value(Fraction(0), Fraction(0), (Fraction(1), Fraction(1)))
 
     def test_build_cross_delegates_level_zero(self):
-        cross = build_cross(0, (Fraction(0),), (Fraction(0),), (), ())
+        cross = build(0, (Fraction(0),), (Fraction(0),), (), ())
         assert cross.radius == 1
         assert cross.lipschitz_bound == 1
         assert len(cross.anchor_set) == 1
@@ -145,7 +156,7 @@ class TestBaseLevel:
 
 class TestWorkedLevelOne:
     def build(self):
-        return build_cross(
+        return build(
             1,
             (Fraction(0), Fraction(1)),
             (Fraction(0), Fraction(1)),
@@ -183,7 +194,7 @@ class TestWorkedLevelOne:
 class TestBuildValidation:
     def test_rejects_repeated_coordinates(self):
         with pytest.raises(ValueError):
-            build_cross(
+            build(
                 1,
                 (Fraction(0), Fraction(0)),
                 (Fraction(0), Fraction(1)),
@@ -193,7 +204,7 @@ class TestBuildValidation:
 
     def test_rejects_parameter_at_one(self):
         with pytest.raises(ValueError):
-            build_cross(
+            build(
                 1,
                 (Fraction(0), Fraction(1)),
                 (Fraction(0), Fraction(1)),
@@ -203,7 +214,7 @@ class TestBuildValidation:
 
     def test_rejects_negative_parameter(self):
         with pytest.raises(ValueError):
-            build_cross(
+            build(
                 1,
                 (Fraction(0), Fraction(1)),
                 (Fraction(0), Fraction(1)),
@@ -213,7 +224,13 @@ class TestBuildValidation:
 
     def test_rejects_wrong_lengths(self):
         with pytest.raises(ValueError):
-            build_cross(1, (Fraction(0),), (Fraction(0), Fraction(1)), (), ())
+            build(1, (Fraction(0),), (Fraction(0), Fraction(1)), (), ())
+
+    def test_rejects_axes_without_the_earlier_coordinates(self):
+        coordinates = (Fraction(0), Fraction(1))
+        zero = (Fraction(0),)
+        with pytest.raises(ValueError):
+            build_cross(1, coordinates, coordinates, zero, zero, Axis(), Axis())
 
 
 class TestCrossProperties:
@@ -221,7 +238,7 @@ class TestCrossProperties:
     @settings(max_examples=60, deadline=None)
     def test_interpolates_exactly(self, instance):
         """The interpolant reproduces every prescribed anchor value exactly."""
-        cross = build_cross(*instance)
+        cross = build(*instance)
         assert len(cross.anchor_set) == 2 * cross.level + 1
         for point, value in cross.anchor_set.items():
             assert cross.value_at(point) == value
@@ -230,16 +247,16 @@ class TestCrossProperties:
     @given(cross_instances())
     @settings(max_examples=60, deadline=None)
     def test_radius_matches_brute_force(self, instance):
-        """The sorted-gap radius equals half the brute-force separation, capped."""
-        cross = build_cross(*instance)
+        """The axis-gap radius equals half the brute-force separation, capped."""
+        cross = build(*instance)
         separation = min_pairwise_distance(cross.anchor_set.points)
         assert cross.radius == min(Fraction(1), separation / 2)
 
     @given(cross_instances(), coordinate, coordinate)
     @settings(max_examples=80, deadline=None)
     def test_fast_path_matches_reference(self, instance, t, s):
-        """Bisection evaluation equals the linear-scan hat times tent."""
-        cross = build_cross(*instance)
+        """Nearest-nonzero-anchor evaluation equals the linear-scan hat times tent."""
+        cross = build(*instance)
         for point in ((cross.column_x, t), (s, cross.row_y)):
             fast = cross.value_at(point)
             assert fast == reference_value(cross, point)
@@ -251,7 +268,7 @@ class TestCrossProperties:
     @settings(max_examples=60, deadline=None)
     def test_lipschitz_bound_on_the_cross(self, instance, t, s):
         """|f(p) - f(q)| <= (1 + 1/r) * dist(p, q) for cross points p, q."""
-        cross = build_cross(*instance)
+        cross = build(*instance)
         p = (cross.column_x, t)
         q = (s, cross.row_y)
         bound = cross.lipschitz_bound

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from crossweave.cross_extension import build_cross
+from crossweave.cross_extension import Axis, build_cross
 from crossweave.verify import (
     DEFAULT_SEED,
     MAX_ORACLE_LEVEL,
@@ -94,7 +94,13 @@ class TestBasicChecks:
         column = list(broken.column_params[3])
         column[0] += Fraction(1, 8)
         assert 0 <= column[0] < 1
-        broken.crosses[3] = build_cross(3, xs, ys, tuple(column), broken.row_params[3])
+        x_axis, y_axis = Axis(), Axis()
+        for x, y in zip(xs[:-1], ys[:-1]):
+            x_axis.place(x)
+            y_axis.place(y)
+        broken.crosses[3] = build_cross(
+            3, xs, ys, tuple(column), broken.row_params[3], x_axis, y_axis
+        )
         report = check_welldefined(broken, 5, 5)
         assert not report.passed
         witness = report.witnesses[0]
@@ -202,6 +208,11 @@ class TestReportsAndDriver:
     def test_run_suite_rejects_unknown_names(self):
         with pytest.raises(ValueError):
             run_suite("everything")
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_run_suite_rejects_depth_below_one(self, depth):
+        with pytest.raises(ValueError):
+            run_suite("singleton", depth=depth)
 
     def test_run_suite_small_oracle(self):
         reports = run_suite("oracle", depth=3)

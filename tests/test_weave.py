@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossweave.cross_extension import min_pairwise_distance, reference_value
 from crossweave.weave import WovenFunction
 
 probe = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=16)
@@ -83,6 +85,36 @@ class TestStructuralInvariants:
         """Evaluating twice gives the identical exact value."""
         x = woven.pairing.x_coordinate(level)
         assert woven.value(x, y) == woven.value(x, y)
+
+
+class TestIncrementalTower:
+    def test_every_level_matches_the_reference(self):
+        """The radius kept across levels and the sparse evaluation of every
+        level of a 64-level tower agree with the brute-force separation and
+        the linear-scan hat times tent."""
+        tower = WovenFunction()
+        tower.build_to(63)
+        rng = random.Random(64)
+        for cross in tower.crosses:
+            anchors = cross.anchor_set
+            separation = min_pairwise_distance(anchors.points)
+            if separation is None:
+                assert cross.level == 0 and cross.radius == 1
+            else:
+                assert cross.radius == min(Fraction(1), separation / 2)
+            points = list(anchors.points)
+            for _ in range(4):
+                t = Fraction(rng.randint(-128, 128), 64)
+                points += [(cross.column_x, cross.row_y + t), (cross.column_x + t, cross.row_y)]
+            for (ax, ay), value in anchors.items():
+                if value:
+                    offset = cross.radius * Fraction(rng.randint(-63, 63), 64)
+                    if ax == cross.column_x:
+                        points.append((ax, ay + offset))
+                    if ay == cross.row_y:
+                        points.append((ax + offset, ay))
+            for point in points:
+                assert cross.value_at(point) == reference_value(cross, point)
 
 
 class TestLifecycle:
