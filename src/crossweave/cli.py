@@ -186,10 +186,11 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.depth is not None and args.depth < 1:
-        print(f"refused: depth must be at least 1, got {args.depth}", file=sys.stderr)
+    try:
+        reports = run_suite(args.suite, depth=args.depth, seed=args.seed)
+    except ValueError as error:
+        print(f"refused: {error}", file=sys.stderr)
         return 2
-    reports = run_suite(args.suite, depth=args.depth, seed=args.seed)
     if args.format == "json":
         print(json.dumps([report.to_dict() for report in reports], indent=2))
     else:

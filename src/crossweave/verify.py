@@ -7,10 +7,12 @@ density search.  A failing report always carries a concrete counter-witness
 
 The checks deliberately re-derive what they test through independent routes:
 
-* `oracle_eval` recomputes the function by direct recursion with no memo
-  table, linear-scan hats and tents, and brute-force tent radii, so it
-  shares no evaluation code with the fast path it checks.  Its cost grows
-  exponentially with the level, so it refuses above `MAX_ORACLE_LEVEL`.
+* `oracle_eval` recomputes the function by direct recursion from the pair
+  coordinates alone, with linear-scan hats and tents and brute-force tent
+  radii, so it shares no evaluation code or state with the fast path it
+  checks.  It keeps its own memo, keyed by (level, point) and scoped to
+  one check, so each earlier value is derived once; a level-n evaluation
+  then costs polynomially in n.  It refuses above `MAX_ORACLE_LEVEL`.
 * `check_welldefined` compares the defining column route against the row
   route that the construction must make equivalent.
 * `section_continuity_check` certifies each section against the recorded
@@ -32,7 +34,7 @@ from .rationals import Rational, format_rational
 from .weave import WovenFunction
 
 DEFAULT_SEED = 1729
-MAX_ORACLE_LEVEL = 12
+MAX_ORACLE_LEVEL = 32
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -88,21 +90,30 @@ class Report:
 # -- independent oracle ----------------------------------------------------
 
 
-def _oracle_cross_value(pairing: Pairing, level: int, point: tuple) -> Rational:
-    """Level-`level` value by direct recursion; everything recomputed in place.
+def _oracle_cross_value(
+    pairing: Pairing, level: int, point: tuple, memo: dict
+) -> Rational:
+    """Level-`level` value by direct recursion over the pair coordinates.
 
-    Parameters of earlier levels are re-derived at every use (no sharing
-    with the memoized tower), the tent radius is half the brute-force
-    minimum pairwise anchor distance capped at 1, and hat and tent are
-    linear scans over the anchor list.
+    Parameters of earlier levels come from the same recursion, through
+    `memo` (keyed by (level, point)) and never from the tower; the tent
+    radius is half the brute-force minimum pairwise anchor distance capped
+    at 1, and hat and tent are linear scans over the anchor list.  Sharing
+    `memo` across points is sound because a level's value depends only on
+    the pairs up to that level, and a pairing only appends.
     """
+    key = (level, point)
+    if key in memo:
+        return memo[key]
     center_x = pairing.x_coordinate(level)
     center_y = pairing.y_coordinate(level)
     px, py = point
     if px != center_x and py != center_y:
         raise ValueError(f"point lies off the level-{level} cross")
     if level == 0:
-        return max(ZERO, ONE - max(abs(px - center_x), abs(py - center_y)))
+        value = max(ZERO, ONE - max(abs(px - center_x), abs(py - center_y)))
+        memo[key] = value
+        return value
 
     anchors: list[tuple[Rational, Rational]] = []
     values: list[Rational] = []
@@ -112,11 +123,11 @@ def _oracle_cross_value(pairing: Pairing, level: int, point: tuple) -> Rational:
         if i == level:
             values.append(ONE)
         else:
-            values.append(_oracle_cross_value(pairing, i, (center_x, y_i)))
+            values.append(_oracle_cross_value(pairing, i, (center_x, y_i), memo))
     for i in range(level):
         x_i = pairing.x_coordinate(i)
         anchors.append((x_i, center_y))
-        values.append(_oracle_cross_value(pairing, i, (x_i, center_y)))
+        values.append(_oracle_cross_value(pairing, i, (x_i, center_y), memo))
 
     separation = min(
         max(abs(ax - bx), abs(ay - by))
@@ -130,7 +141,9 @@ def _oracle_cross_value(pairing: Pairing, level: int, point: tuple) -> Rational:
         (value * (ONE - d / radius) for value, d in zip(values, distances) if d < radius),
         ZERO,
     )
-    return hat * tent
+    value = hat * tent
+    memo[key] = value
+    return value
 
 
 def oracle_eval(
@@ -138,16 +151,19 @@ def oracle_eval(
     x: Rational,
     y: Rational,
     max_level: int = MAX_ORACLE_LEVEL,
+    memo: dict | None = None,
 ) -> Rational:
-    """Value at (x, y) by the exponential direct recursion.
+    """Value at (x, y) by the oracle's memoized direct recursion.
 
-    Refuses when the level of x exceeds `max_level`; the recursion visits
-    on the order of 3^level nodes, so there is no honest way to go deep.
+    Refuses when the level of x exceeds `max_level`, and refuses a
+    `max_level` above the depth cap `MAX_ORACLE_LEVEL`.  Pass one `memo`
+    dict to share derived values across calls on the same pairing (as
+    `check_oracle_equivalence` does); without one, a fresh dict is used.
     """
     if max_level > MAX_ORACLE_LEVEL:
-        raise ValueError(f"oracle is exponential; max_level capped at {MAX_ORACLE_LEVEL}")
+        raise ValueError(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
     level = pairing.x_level(x, max_level=max_level)
-    return _oracle_cross_value(pairing, level, (x, y))
+    return _oracle_cross_value(pairing, level, (x, y), {} if memo is None else memo)
 
 
 # -- checks ----------------------------------------------------------------
@@ -440,22 +456,25 @@ def check_oracle_equivalence(
     samples: int = 200,
     seed: int = DEFAULT_SEED,
 ) -> Report:
-    """The memoized evaluator must match the exponential oracle exactly.
+    """The memoized tower must match the independent oracle exactly.
 
     Samples are column points (x_m, q) with the level m uniform over
-    0..max_level and q a random small rational.
+    0..max_level and q a random small rational.  All samples share one
+    oracle memo, created here, so the oracle derives each earlier value
+    once per check and holds nothing between checks.
     """
     if max_level > MAX_ORACLE_LEVEL:
-        raise ValueError(f"oracle is exponential; max_level capped at {MAX_ORACLE_LEVEL}")
+        raise ValueError(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
     woven.build_to(max_level)
     rng = random.Random(seed)
+    memo: dict = {}
     failures = []
     for _ in range(samples):
         level = rng.randint(0, max_level)
         x = woven.pairing.x_coordinate(level)
         y = random_rational(rng)
         fast = woven.value(x, y)
-        slow = oracle_eval(woven.pairing, x, y, max_level)
+        slow = oracle_eval(woven.pairing, x, y, max_level, memo)
         if fast != slow:
             failures.append({"level": level, "x": x, "y": y, "fast": fast, "oracle": slow})
     return Report(
@@ -474,7 +493,7 @@ SUITE_DEFAULT_DEPTH = {
     "density": 20,
     "witness": 50,
     "lipschitz": 64,
-    "oracle": 10,
+    "oracle": 32,
 }
 
 SUITE_NAMES = ("all", *SUITE_DEFAULT_DEPTH)

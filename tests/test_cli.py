@@ -7,7 +7,7 @@ import json
 import pytest
 
 import crossweave.cli as cli
-from crossweave.verify import Report
+from crossweave.verify import MAX_ORACLE_LEVEL, Report
 
 
 def run(capsys, *argv):
@@ -149,6 +149,14 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("refused: ") and err.count("\n") == 1
+
+    def test_depth_above_the_oracle_cap_is_refused(self, capsys):
+        depth = str(MAX_ORACLE_LEVEL + 1)
+        code, out, err = run(capsys, "verify", "--suite", "oracle", "--depth", depth)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

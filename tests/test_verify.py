@@ -67,7 +67,20 @@ class TestOracle:
 
     def test_equivalence_check_rejects_deep_cap(self, woven):
         with pytest.raises(ValueError):
-            check_oracle_equivalence(woven, max_level=13, samples=1)
+            check_oracle_equivalence(woven, max_level=MAX_ORACLE_LEVEL + 1, samples=1)
+
+    def test_rederives_parameter_tables_above_the_old_cap(self, woven):
+        """The oracle re-derives both parameter tables of levels 13..20 exactly."""
+        pairing = woven.pairing
+        memo = {}
+        for n in range(13, 21):
+            x_n, y_n = pairing.pairs[n]
+            for i in range(n):
+                x_i, y_i = pairing.pairs[i]
+                column = oracle_eval(pairing, x_n, y_i, MAX_ORACLE_LEVEL, memo)
+                row = oracle_eval(pairing, x_i, y_n, MAX_ORACLE_LEVEL, memo)
+                assert column == woven.column_params[n][i], (n, i)
+                assert row == woven.row_params[n][i], (n, i)
 
 
 class TestBasicChecks:
