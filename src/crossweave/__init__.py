@@ -10,16 +10,11 @@ it all for the command line.
 """
 
 from .cross_extension import (
-    AnchorSet,
     Axis,
     CrossFunction,
     base_value,
     build_cross,
-    hat_value,
     linf,
-    min_pairwise_distance,
-    reference_value,
-    tent_sum,
 )
 from .pairing import Box, Pairing, Point, enumerate_box
 from .rationals import (
@@ -28,7 +23,6 @@ from .rationals import (
     enumerate_rational,
     format_rational,
     index_of,
-    normalize,
     parse_rational,
 )
 from .verify import (
@@ -52,7 +46,6 @@ from .weave import WovenFunction
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSet",
     "Axis",
     "Box",
     "CrossFunction",
@@ -75,18 +68,13 @@ __all__ = [
     "enumerate_box",
     "enumerate_rational",
     "format_rational",
-    "hat_value",
     "image_density_search",
     "index_of",
     "linf",
-    "min_pairwise_distance",
     "nonfeeble_witness",
-    "normalize",
     "oracle_eval",
     "parse_rational",
-    "reference_value",
     "run_suite",
     "section_continuity_check",
-    "tent_sum",
     "__version__",
 ]

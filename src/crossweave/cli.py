@@ -22,7 +22,7 @@ from typing import IO
 
 from .pairing import Pairing
 from .rationals import Rational, decimal_approx, format_rational, parse_rational
-from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
+from .verify import DEFAULT_SEED, SUITE_NAMES, Refusal, run_suite
 from .weave import WovenFunction
 
 DEFAULT_MAX_LEVEL = 512
@@ -188,7 +188,7 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         reports = run_suite(args.suite, depth=args.depth, seed=args.seed)
-    except ValueError as error:
+    except Refusal as error:
         print(f"refused: {error}", file=sys.stderr)
         return 2
     if args.format == "json":

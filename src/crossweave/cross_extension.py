@@ -18,27 +18,25 @@ matches every prescribed anchor value exactly, stays within [0, 1], and is
 Level 0 has a single anchor and is special: its function is the bare hat
 (multiplying by the tent would square the slope), which is 1-Lipschitz.
 
-Evaluation comes in two flavors kept deliberately separate: `hat_value` and
-`tent_sum` are direct transcriptions of the definitions (linear scans, used
-as the reference path in tests), while `CrossFunction.value_at` goes through
-the nearest nonzero anchor alone.  Because r is at most half the minimum
-anchor separation, a point p within r of an anchor a is more than r from
-every other anchor, so a is p's nearest anchor and the product is
-v_a * (1 - d) * (1 - d/r), with d the distance from p to a; a point within
-r of no anchor gets 0.  An anchor on the other line of the cross lies at
-least one coordinate gap, hence at least 2r, from every point of this line
-(the center, on both lines, is the exception).  So a cross keeps only the
-nonzero anchors of each line, sorted, with the center on both, and one
-bisection over that short list evaluates a point.  The radius itself comes
-from `Axis`, the sorted coordinates a tower has placed on each axis: the
-minimum anchor separation is the smaller of the two axes' minimum gaps.
+A cross evaluates a point through its nearest nonzero anchor alone.
+Because r is at most half the minimum anchor separation, a point p within
+r of an anchor a is more than r from every other anchor, so a is p's
+nearest anchor and the product is v_a * (1 - d) * (1 - d/r), with d the
+distance from p to a; a point within r of no anchor gets 0.  An anchor on
+the other line of the cross lies at least one coordinate gap, hence at
+least 2r, from every point of this line (the center, on both lines, is the
+exception).  So a cross keeps only the nonzero anchors of each line,
+sorted, with the center on both, and one bisection over that short list
+evaluates a point.  The radius itself comes from `Axis`, the sorted
+coordinates a tower has placed on each axis: the minimum anchor separation
+is the smaller of the two axes' minimum gaps.  The linear-scan reference
+that these shortcuts are tested against lives in `verify`, which shares
+no code with this module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .pairing import Point
@@ -51,77 +49,6 @@ ONE = Fraction(1)
 def linf(a: Point, b: Point) -> Rational:
     """L-infinity distance between two points of the rational plane."""
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
-@dataclass(frozen=True)
-class AnchorSet:
-    """Finitely many distinct points, each carrying a value in [0, 1]."""
-
-    points: tuple[Point, ...]
-    values: tuple[Rational, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.points) != len(self.values):
-            raise ValueError("one value per anchor point required")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("anchor points must be pairwise distinct")
-        if any(not (ZERO <= v <= ONE) for v in self.values):
-            raise ValueError("anchor values must lie in [0, 1]")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def items(self) -> tuple[tuple[Point, Rational], ...]:
-        return tuple(zip(self.points, self.values))
-
-    @cached_property
-    def separation(self) -> Rational | None:
-        """`min_pairwise_distance` of the points, computed once per set."""
-        return min_pairwise_distance(self.points)
-
-
-def min_pairwise_distance(points: tuple[Point, ...]) -> Rational | None:
-    """Smallest L-infinity distance over all pairs; None if fewer than two points.
-
-    Quadratic on purpose: this is the reference implementation against which
-    the axis-gap radius used by `build_cross` is tested.
-    """
-    best: Rational | None = None
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = linf(points[i], points[j])
-            if best is None or d < best:
-                best = d
-    return best
-
-
-def hat_value(point: Point, anchor_points: tuple[Point, ...]) -> Rational:
-    """max(0, 1 - distance to the nearest anchor); reference implementation."""
-    if not anchor_points:
-        raise ValueError("hat needs at least one anchor")
-    nearest = min(linf(point, a) for a in anchor_points)
-    return max(ZERO, ONE - nearest)
-
-
-def tent_sum(point: Point, anchors: AnchorSet, radius: Rational) -> Rational:
-    """Sum of disjoint-support tents, one per anchor; reference implementation.
-
-    Each tent is value * max(0, 1 - distance/radius).  The radius must keep
-    the supports disjoint (at most half the minimum pairwise anchor
-    distance), so at most one summand is nonzero and the sum interpolates
-    the anchor values exactly.
-    """
-    if radius <= 0:
-        raise ValueError("tent radius must be positive")
-    separation = anchors.separation
-    if separation is not None and 2 * radius > separation:
-        raise ValueError("tent radius too large: supports would overlap")
-    total = ZERO
-    for anchor, value in zip(anchors.points, anchors.values):
-        d = linf(point, anchor)
-        if d < radius:
-            total += value * (ONE - d / radius)
-    return total
 
 
 def base_value(x0: Rational, y0: Rational, point: Point) -> Rational:
@@ -180,38 +107,21 @@ class CrossFunction:
 
     def __init__(
         self,
-        xs: tuple[Rational, ...],
-        ys: tuple[Rational, ...],
-        column_params: tuple[Rational, ...],
-        row_params: tuple[Rational, ...],
+        level: int,
+        center: Point,
         radius: Rational,
         lipschitz_bound: Rational,
         column_line: tuple[tuple[Rational, ...], tuple[Rational, ...]],
         row_line: tuple[tuple[Rational, ...], tuple[Rational, ...]],
     ) -> None:
-        self.level = len(xs) - 1
-        self.column_x = xs[-1]
-        self.row_y = ys[-1]
+        self.level = level
+        self.column_x, self.row_y = center
         self.radius = radius
         self.lipschitz_bound = lipschitz_bound
-        self._coordinates = xs, ys
-        self._params = column_params, row_params
         # nonzero anchors of each line as (sorted coordinates, values); the
         # center, value 1, is on both: its y on the column, its x on the row
         self._column_line = column_line
         self._row_line = row_line
-
-    @cached_property
-    def anchor_set(self) -> AnchorSet:
-        """Every anchor with its value, zeros included, for the reference path."""
-        (xs, ys), (column_params, row_params) = self._coordinates, self._params
-        points = tuple((self.column_x, y) for y in ys) + tuple(
-            (x, self.row_y) for x in xs[:-1]
-        )
-        return AnchorSet(points, (*column_params, ONE, *row_params))
-
-    def on_cross(self, point: Point) -> bool:
-        return point[0] == self.column_x or point[1] == self.row_y
 
     def value_at(self, point: Point) -> Rational:
         """Exact value at a point of the cross, through its nearest nonzero anchor.
@@ -247,17 +157,6 @@ class CrossFunction:
             if d < radius:
                 return values[pos - 1] * (ONE - d) * (ONE - d / radius)
         return ZERO
-
-
-def reference_value(cross: CrossFunction, point: Point) -> Rational:
-    """hat * tent computed by the linear-scan reference ops; for cross-checks."""
-    if not cross.on_cross(point):
-        raise ValueError(f"point lies off the level-{cross.level} cross")
-    if cross.level == 0:
-        return base_value(cross.column_x, cross.row_y, point)
-    return hat_value(point, cross.anchor_set.points) * tent_sum(
-        point, cross.anchor_set, cross.radius
-    )
 
 
 def _nonzero_line(
@@ -319,5 +218,5 @@ def build_cross(
     column_line = _nonzero_line(ys, column_params, center_y)
     row_line = _nonzero_line(xs, row_params, center_x)
     return CrossFunction(
-        xs, ys, column_params, row_params, radius, lipschitz, column_line, row_line
+        level, (center_x, center_y), radius, lipschitz, column_line, row_line
     )

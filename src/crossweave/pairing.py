@@ -82,15 +82,15 @@ class Pairing:
 
     Step n runs task n mod 3:
 
-    * task 0: take the least-index unused rational on each axis (x first),
-    * task 1: the same with y first (the picks are independent, but the
-      schedule keeps both axes covered at a known rate),
+    * tasks 0 and 1: take the least-index unused rational on each axis (the
+      two picks are independent; two steps in three keep both axes covered
+      at a known rate),
     * task 2: take the next unprocessed box and the least-index unused
       rationals strictly inside its two sides, and log the new pair as that
       box's density witness.
 
     Because tasks 0 and 1 consume the least unused index outright, every
-    index below `_next_x` / `_next_y` is already used; scans may start there.
+    index below an axis's scan start is already used; scans may start there.
     """
 
     def __init__(self) -> None:
@@ -98,20 +98,12 @@ class Pairing:
         self.level_of_x: dict[Rational, int] = {}
         self.level_of_y: dict[Rational, int] = {}
         self.box_witness: list[int] = []  # box ordinal -> level of its witness pair
-        self._next_x = 0
-        self._next_y = 0
-        self._frozen = False
+        # per axis, 0 for x and 1 for y: its level index and its scan start
+        self._level_of = (self.level_of_x, self.level_of_y)
+        self._next = [0, 0]
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def freeze(self) -> None:
-        """Forbid further extension; a frozen prefix is safe to share."""
-        self._frozen = True
 
     def x_coordinate(self, level: int) -> Rational:
         return self.pairs[level][0]
@@ -121,54 +113,38 @@ class Pairing:
 
     # -- construction ---------------------------------------------------
 
-    def _take_least_unused_x(self) -> Rational:
-        while enumerate_rational(self._next_x) in self.level_of_x:
-            self._next_x += 1
-        value = enumerate_rational(self._next_x)
-        self._next_x += 1
-        return value
+    def _take_least_unused(
+        self, axis: int, lo: Rational | None = None, hi: Rational | None = None
+    ) -> Rational:
+        """The least-index rational unused on `axis`, strictly inside (lo, hi) if given.
 
-    def _take_least_unused_y(self) -> Rational:
-        while enumerate_rational(self._next_y) in self.level_of_y:
-            self._next_y += 1
-        value = enumerate_rational(self._next_y)
-        self._next_y += 1
-        return value
-
-    def _take_least_unused_x_inside(self, lo: Rational, hi: Rational) -> Rational:
-        index = self._next_x
+        Only an unbounded pick is consumed outright and moves the scan start.
+        """
+        used = self._level_of[axis]
+        index = self._next[axis]
+        if lo is None:
+            while enumerate_rational(index) in used:
+                index += 1
+            self._next[axis] = index + 1
+            return enumerate_rational(index)
         while True:
             value = enumerate_rational(index)
-            if lo < value < hi and value not in self.level_of_x:
-                return value
-            index += 1
-
-    def _take_least_unused_y_inside(self, lo: Rational, hi: Rational) -> Rational:
-        index = self._next_y
-        while True:
-            value = enumerate_rational(index)
-            if lo < value < hi and value not in self.level_of_y:
+            if lo < value < hi and value not in used:
                 return value
             index += 1
 
     def extend(self, steps: int) -> None:
         """Append `steps` pairs by the round-robin schedule."""
-        if self._frozen:
-            raise RuntimeError("pairing is frozen; no further extension")
         for _ in range(steps):
             step = len(self.pairs)
-            task = step % 3
-            if task == 0:
-                x = self._take_least_unused_x()
-                y = self._take_least_unused_y()
-            elif task == 1:
-                y = self._take_least_unused_y()
-                x = self._take_least_unused_x()
-            else:
+            if step % 3 == 2:
                 box = enumerate_box(len(self.box_witness))
-                x = self._take_least_unused_x_inside(box.x_lo, box.x_hi)
-                y = self._take_least_unused_y_inside(box.y_lo, box.y_hi)
+                x = self._take_least_unused(0, box.x_lo, box.x_hi)
+                y = self._take_least_unused(1, box.y_lo, box.y_hi)
                 self.box_witness.append(step)
+            else:
+                x = self._take_least_unused(0)
+                y = self._take_least_unused(1)
             self.level_of_x[x] = step
             self.level_of_y[y] = step
             self.pairs.append((x, y))
@@ -188,42 +164,30 @@ class Pairing:
         set, any answer above it becomes a refusal instead, whether the
         level is already known or would require extension to find.
         """
-        level = self.level_of_x.get(value)
-        if level is not None:
-            if max_level is not None and level > max_level:
-                raise RuntimeError(
-                    f"level of x-coordinate is {level}, above the cap {max_level}"
-                )
-            return level
-        bound = 3 * (index_of(value) + 1)
-        if max_level is not None:
-            bound = min(bound, max_level + 1)
-        while value not in self.level_of_x and len(self.pairs) < bound:
-            self.extend(1)
-        level = self.level_of_x.get(value)
-        if level is None:
-            raise RuntimeError(
-                f"level of x-coordinate would exceed max_level={max_level}"
-            )
-        return level
+        return self._level(0, value, max_level)
 
     def y_level(self, value: Rational, max_level: int | None = None) -> int:
         """Symmetric to `x_level`, for y-coordinates."""
-        level = self.level_of_y.get(value)
+        return self._level(1, value, max_level)
+
+    def _level(self, axis: int, value: Rational, max_level: int | None) -> int:
+        levels = self._level_of[axis]
+        name = "xy"[axis]
+        level = levels.get(value)
         if level is not None:
             if max_level is not None and level > max_level:
                 raise RuntimeError(
-                    f"level of y-coordinate is {level}, above the cap {max_level}"
+                    f"level of {name}-coordinate is {level}, above the cap {max_level}"
                 )
             return level
         bound = 3 * (index_of(value) + 1)
         if max_level is not None:
             bound = min(bound, max_level + 1)
-        while value not in self.level_of_y and len(self.pairs) < bound:
+        while value not in levels and len(self.pairs) < bound:
             self.extend(1)
-        level = self.level_of_y.get(value)
+        level = levels.get(value)
         if level is None:
             raise RuntimeError(
-                f"level of y-coordinate would exceed max_level={max_level}"
+                f"level of {name}-coordinate would exceed max_level={max_level}"
             )
         return level

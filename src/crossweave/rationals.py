@@ -25,19 +25,6 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
-def normalize(numerator: int, denominator: int = 1) -> Fraction:
-    """Reduce numerator/denominator to lowest terms with a positive denominator.
-
-    >>> normalize(2, 4)
-    Fraction(1, 2)
-    >>> normalize(3, -6)
-    Fraction(-1, 2)
-    """
-    if denominator == 0:
-        raise ValueError("zero denominator")
-    return Fraction(numerator, denominator)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or a bare integer 'p'; the denominator part must be unsigned.
 
@@ -51,7 +38,9 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}")
     numerator = int(match.group(1))
     denominator = int(match.group(2)) if match.group(2) is not None else 1
-    return normalize(numerator, denominator)
+    if denominator == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(numerator, denominator)
 
 
 def format_rational(value: Fraction) -> str:

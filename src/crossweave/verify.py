@@ -8,11 +8,13 @@ density search.  A failing report always carries a concrete counter-witness
 The checks deliberately re-derive what they test through independent routes:
 
 * `oracle_eval` recomputes the function by direct recursion from the pair
-  coordinates alone, with linear-scan hats and tents and brute-force tent
-  radii, so it shares no evaluation code or state with the fast path it
-  checks.  It keeps its own memo, keyed by (level, point) and scoped to
-  one check, so each earlier value is derived once; a level-n evaluation
-  then costs polynomially in n.  It refuses above `MAX_ORACLE_LEVEL`.
+  coordinates alone, so it shares no evaluation code or state with the
+  fast path it checks.  This module holds the package's only reference
+  for one cross: `brute_force_radius`, the tent radius from every pair of
+  anchors, and `linear_scan_value`, hat times tent from one scan of the
+  anchors.  The oracle derives each level's anchors, values and radius
+  once per memo, scoped to one check, and evaluates points through these
+  two functions.  It refuses above `MAX_ORACLE_LEVEL`.
 * `check_welldefined` compares the defining column route against the row
   route that the construction must make equivalent.
 * `section_continuity_check` certifies each section against the recorded
@@ -28,13 +30,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
-from .pairing import Pairing, enumerate_box
+from .pairing import Pairing, Point, enumerate_box
 from .rationals import Rational, format_rational
 from .weave import WovenFunction
 
 DEFAULT_SEED = 1729
-MAX_ORACLE_LEVEL = 32
+MAX_ORACLE_LEVEL = 64
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -87,63 +90,100 @@ class Report:
         return "  ".join(parts)
 
 
-# -- independent oracle ----------------------------------------------------
+# -- independent reference and oracle --------------------------------------
 
 
-def _oracle_cross_value(
-    pairing: Pairing, level: int, point: tuple, memo: dict
-) -> Rational:
-    """Level-`level` value by direct recursion over the pair coordinates.
+class Refusal(ValueError):
+    """A request the verifier declines (unknown suite, depth out of range).
 
-    Parameters of earlier levels come from the same recursion, through
-    `memo` (keyed by (level, point)) and never from the tower; the tent
-    radius is half the brute-force minimum pairwise anchor distance capped
-    at 1, and hat and tent are linear scans over the anchor list.  Sharing
-    `memo` across points is sound because a level's value depends only on
-    the pairs up to that level, and a pairing only appends.
+    Anything else raised out of a check is a fault, not a refusal.
     """
-    key = (level, point)
-    if key in memo:
-        return memo[key]
-    center_x = pairing.x_coordinate(level)
-    center_y = pairing.y_coordinate(level)
-    px, py = point
-    if px != center_x and py != center_y:
-        raise ValueError(f"point lies off the level-{level} cross")
-    if level == 0:
-        value = max(ZERO, ONE - max(abs(px - center_x), abs(py - center_y)))
-        memo[key] = value
-        return value
 
-    anchors: list[tuple[Rational, Rational]] = []
-    values: list[Rational] = []
-    for i in range(level + 1):
-        y_i = pairing.y_coordinate(i)
-        anchors.append((center_x, y_i))
-        if i == level:
-            values.append(ONE)
-        else:
-            values.append(_oracle_cross_value(pairing, i, (center_x, y_i), memo))
-    for i in range(level):
-        x_i = pairing.x_coordinate(i)
-        anchors.append((x_i, center_y))
-        values.append(_oracle_cross_value(pairing, i, (x_i, center_y), memo))
 
+def _linf(a: Point, b: Point) -> Rational:
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+
+def cross_anchors(xs: Sequence[Rational], ys: Sequence[Rational]) -> list[Point]:
+    """The anchors of the cross through (x_n, y_n) = (xs[-1], ys[-1]).
+
+    Its column's (x_n, y_0)..(x_n, y_n), then its row's (x_0, y_n)..(x_{n-1}, y_n).
+    """
+    x_n, y_n = xs[-1], ys[-1]
+    return [(x_n, y) for y in ys] + [(x, y_n) for x in xs[:-1]]
+
+
+def brute_force_radius(anchors: Sequence[Point]) -> Rational:
+    """min(1, half the minimum pairwise L-infinity distance), over every pair.
+
+    A single anchor gets 1; coincident anchors are refused, since their
+    tents would have no room.
+    """
     separation = min(
-        max(abs(ax - bx), abs(ay - by))
-        for i, (ax, ay) in enumerate(anchors)
-        for bx, by in anchors[i + 1 :]
+        (_linf(a, b) for i, a in enumerate(anchors) for b in anchors[i + 1 :]),
+        default=None,
     )
-    radius = min(ONE, separation / 2)
-    distances = [max(abs(px - ax), abs(py - ay)) for ax, ay in anchors]
+    if separation is None:
+        return ONE
+    if separation == 0:
+        raise ValueError("anchors must be pairwise distinct")
+    return min(ONE, separation / 2)
+
+
+def linear_scan_value(
+    point: Point, anchors: Sequence[Point], values: Sequence[Rational], radius: Rational
+) -> Rational:
+    """hat * tent at `point`, from one scan of its distances to every anchor.
+
+    The hat is max(0, 1 - distance to the nearest anchor); the tent sums
+    value * (1 - d/radius) over the anchors within `radius`.  A single
+    anchor gives the bare hat, the level-0 function.
+    """
+    if len(values) != len(anchors):
+        raise ValueError("one value per anchor required")
+    if radius <= 0:
+        raise ValueError("tent radius must be positive")
+    distances = [_linf(point, anchor) for anchor in anchors]
     hat = max(ZERO, ONE - min(distances))
+    if len(distances) == 1:
+        return hat
     tent = sum(
         (value * (ONE - d / radius) for value, d in zip(values, distances) if d < radius),
         ZERO,
     )
-    value = hat * tent
-    memo[key] = value
-    return value
+    return hat * tent
+
+
+def _oracle_level(
+    pairing: Pairing, level: int, memo: dict
+) -> tuple[list[Point], list[Rational], Rational]:
+    """The level's anchors, their values and its brute-force radius.
+
+    Derived from the pair coordinates once per `memo`; the values of the
+    earlier levels come from the oracle's own recursion, never from the
+    tower.  Sharing `memo` across calls is sound because a level depends
+    only on the pairs up to it, and a pairing only appends.
+    """
+    if level not in memo:
+        pairs = pairing.pairs[: level + 1]
+        anchors = cross_anchors([x for x, _ in pairs], [y for _, y in pairs])
+        column = [_oracle_cross_value(pairing, i, anchors[i], memo) for i in range(level)]
+        row = [
+            _oracle_cross_value(pairing, i, anchors[level + 1 + i], memo)
+            for i in range(level)
+        ]
+        memo[level] = anchors, [*column, ONE, *row], brute_force_radius(anchors)
+    return memo[level]
+
+
+def _oracle_cross_value(
+    pairing: Pairing, level: int, point: Point, memo: dict
+) -> Rational:
+    """Level-`level` value at a point of its cross, by the linear scan."""
+    center_x, center_y = pairing.pairs[level]
+    if point[0] != center_x and point[1] != center_y:
+        raise ValueError(f"point lies off the level-{level} cross")
+    return linear_scan_value(point, *_oracle_level(pairing, level, memo))
 
 
 def oracle_eval(
@@ -157,11 +197,11 @@ def oracle_eval(
 
     Refuses when the level of x exceeds `max_level`, and refuses a
     `max_level` above the depth cap `MAX_ORACLE_LEVEL`.  Pass one `memo`
-    dict to share derived values across calls on the same pairing (as
+    dict to share derived levels across calls on the same pairing (as
     `check_oracle_equivalence` does); without one, a fresh dict is used.
     """
     if max_level > MAX_ORACLE_LEVEL:
-        raise ValueError(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
+        raise Refusal(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
     level = pairing.x_level(x, max_level=max_level)
     return _oracle_cross_value(pairing, level, (x, y), {} if memo is None else memo)
 
@@ -460,11 +500,11 @@ def check_oracle_equivalence(
 
     Samples are column points (x_m, q) with the level m uniform over
     0..max_level and q a random small rational.  All samples share one
-    oracle memo, created here, so the oracle derives each earlier value
-    once per check and holds nothing between checks.
+    oracle memo, created here, so the oracle derives each level once per
+    check and holds nothing between checks.
     """
     if max_level > MAX_ORACLE_LEVEL:
-        raise ValueError(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
+        raise Refusal(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
     woven.build_to(max_level)
     rng = random.Random(seed)
     memo: dict = {}
@@ -493,7 +533,7 @@ SUITE_DEFAULT_DEPTH = {
     "density": 20,
     "witness": 50,
     "lipschitz": 64,
-    "oracle": 32,
+    "oracle": 64,
 }
 
 SUITE_NAMES = ("all", *SUITE_DEFAULT_DEPTH)
@@ -524,12 +564,13 @@ def run_suite(
 
     `depth` overrides the canonical scale when a single suite is selected;
     its meaning is suite-specific (levels, grid side, pitch, boxes, or
-    oracle level cap).
+    oracle level cap).  An unknown suite, a depth below 1 and an oracle
+    depth above `MAX_ORACLE_LEVEL` raise `Refusal`.
     """
     if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite: {suite}")
+        raise Refusal(f"unknown suite: {suite}")
     if depth is not None and depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
+        raise Refusal(f"depth must be at least 1, got {depth}")
     woven = WovenFunction()
     if suite == "all":
         return [

@@ -35,9 +35,7 @@ from .rationals import Rational
 class WovenFunction:
     """Lazy tower of cross interpolants over a shared pairing.
 
-    Levels build strictly in order, on demand from evaluation.  `freeze`
-    pins the built prefix: afterwards neither the pairing nor the level
-    tower may grow, so concurrent readers see a fixed object.
+    Levels build strictly in order, on demand from evaluation.
     """
 
     def __init__(self, pairing: Pairing | None = None) -> None:
@@ -48,15 +46,10 @@ class WovenFunction:
         # the coordinates of the built levels, sorted, for the tent radius
         self._x_axis = Axis()
         self._y_axis = Axis()
-        self._frozen_levels: int | None = None
 
     @property
     def built_levels(self) -> int:
         return len(self.crosses)
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen_levels is not None
 
     def cross(self, level: int) -> CrossFunction:
         if level >= len(self.crosses):
@@ -73,8 +66,6 @@ class WovenFunction:
             raise RuntimeError(
                 f"levels build in order: expected {len(self.crosses)}, got {level}"
             )
-        if self._frozen_levels is not None:
-            raise RuntimeError("woven function is frozen; no further levels")
         self.pairing.ensure_length(level + 1)
         pairs = self.pairing.pairs
         x_new, y_new = pairs[level]
@@ -95,21 +86,13 @@ class WovenFunction:
         while len(self.crosses) <= level:
             self.build_level(len(self.crosses))
 
-    def freeze(self, levels: int) -> None:
-        """Build `levels` levels, then pin the object against any growth."""
-        if levels < 1:
-            raise ValueError("freeze needs at least one level")
-        self.build_to(levels - 1)
-        self._frozen_levels = levels
-        self.pairing.freeze()
-
     # -- evaluation -------------------------------------------------------
 
     def value(self, x: Rational, y: Rational, max_level: int | None = None) -> Rational:
         """Exact value at (x, y), through the level whose column holds x.
 
         This is the defining route.  The pairing and the level tower extend
-        on demand unless frozen; `max_level` turns runaway extension into a
+        on demand; `max_level` turns runaway extension into a
         refusal (levels grow cubically with the enumeration index of x,
         which can be astronomical for innocent-looking rationals).
         """

@@ -76,7 +76,7 @@ def test_criterion_5_no_open_box_inside_the_middle_preimage(woven512):
 
 def test_criterion_6_memoized_tower_matches_naive_recursion(woven512):
     report = check_oracle_equivalence(
-        woven512, max_level=32, samples=200, seed=DEFAULT_SEED
+        woven512, max_level=64, samples=200, seed=DEFAULT_SEED
     )
     announce(6, "memoized evaluation equals the independent oracle on 200 points", report.passed)
     assert report.passed, report.text_line()

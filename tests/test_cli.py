@@ -7,6 +7,7 @@ import json
 import pytest
 
 import crossweave.cli as cli
+import crossweave.verify as verify
 from crossweave.verify import MAX_ORACLE_LEVEL, Report
 
 
@@ -170,3 +171,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "density")
         assert code == 1
         assert "FAIL demo" in out
+
+    def test_fault_inside_a_check_is_not_a_refusal(self, capsys, monkeypatch):
+        def fault(*args, **kwargs):
+            raise ValueError("point lies off the level-3 cross")
+
+        monkeypatch.setattr(verify, "check_sections", fault)
+        with pytest.raises(ValueError) as excinfo:
+            cli.main(["verify", "--suite", "lipschitz", "--depth", "2"])
+        assert type(excinfo.value) is ValueError
+        assert "refused" not in capsys.readouterr().err

@@ -1,4 +1,9 @@
-"""Per-level interpolants: hat, tents, exact interpolation, Lipschitz bounds."""
+"""Per-level interpolants: hat, tents, exact interpolation, Lipschitz bounds.
+
+The linear-scan reference that the sparse crosses are compared against is
+`verify`'s, the package's only one; its own unit tests live here with the
+comparisons that rely on it.
+"""
 
 from __future__ import annotations
 
@@ -8,17 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossweave.cross_extension import (
-    AnchorSet,
-    Axis,
-    base_value,
-    build_cross,
-    hat_value,
-    linf,
-    min_pairwise_distance,
-    reference_value,
-    tent_sum,
-)
+from crossweave.cross_extension import Axis, base_value, build_cross, linf
+from crossweave.verify import brute_force_radius, cross_anchors, linear_scan_value
+
+ONE = Fraction(1)
+ORIGIN = (Fraction(0), Fraction(0))
 
 coordinate = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8
@@ -36,6 +35,11 @@ def build(level, xs, ys, column_params, row_params):
     for y in ys[:-1]:
         y_axis.place(y)
     return build_cross(level, xs, ys, column_params, row_params, x_axis, y_axis)
+
+
+def reference_data(level, xs, ys, column_params, row_params):
+    """The reference's anchors for a cross instance, and their values."""
+    return cross_anchors(xs, ys), (*column_params, ONE, *row_params)
 
 
 @st.composite
@@ -64,44 +68,47 @@ class TestReferenceOps:
         assert linf((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-2))) == 2
 
     def test_hat_at_anchor(self):
-        assert hat_value((Fraction(1), Fraction(1)), ((Fraction(1), Fraction(1)),)) == 1
+        anchor = (Fraction(1), Fraction(1))
+        assert linear_scan_value(anchor, (anchor,), (ONE,), ONE) == 1
 
     def test_hat_halfway(self):
-        anchors = ((Fraction(0), Fraction(0)),)
-        assert hat_value((Fraction(1, 2), Fraction(0)), anchors) == Fraction(1, 2)
+        point = (Fraction(1, 2), Fraction(0))
+        assert linear_scan_value(point, (ORIGIN,), (ONE,), ONE) == Fraction(1, 2)
 
     def test_hat_clamps_far_away(self):
-        anchors = ((Fraction(0), Fraction(0)), (Fraction(3), Fraction(3)))
-        assert hat_value((Fraction(10), Fraction(0)), anchors) == 0
+        anchors = (ORIGIN, (Fraction(3), Fraction(3)))
+        point = (Fraction(10), Fraction(0))
+        assert linear_scan_value(point, anchors, (ONE, ONE), ONE) == 0
+        assert linear_scan_value(point, anchors[:1], (ONE,), ONE) == 0
 
     def test_hat_needs_anchors(self):
         with pytest.raises(ValueError):
-            hat_value((Fraction(0), Fraction(0)), ())
+            linear_scan_value(ORIGIN, (), (), ONE)
 
     def test_tent_peak_and_support(self):
-        anchors = AnchorSet(
-            ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(0))),
-            (Fraction(1), Fraction(1, 3)),
-        )
-        radius = Fraction(1)
-        assert tent_sum((Fraction(0), Fraction(0)), anchors, radius) == 1
-        assert tent_sum((Fraction(2), Fraction(0)), anchors, radius) == Fraction(1, 3)
-        assert tent_sum((Fraction(1), Fraction(0)), anchors, radius) == 0
-        # halfway down a unit tent of value 1
-        assert tent_sum((Fraction(1, 2), Fraction(0)), anchors, radius) == Fraction(1, 2)
+        anchors = (ORIGIN, (Fraction(2), Fraction(0)))
+        values = (ONE, Fraction(1, 3))
+        radius = brute_force_radius(anchors)
+        assert radius == 1
+        assert linear_scan_value(ORIGIN, anchors, values, radius) == 1
+        assert linear_scan_value(anchors[1], anchors, values, radius) == Fraction(1, 3)
+        assert linear_scan_value((Fraction(1), Fraction(0)), anchors, values, radius) == 0
+        # halfway down both the hat and a unit tent of value 1
+        halfway = (Fraction(1, 2), Fraction(0))
+        assert linear_scan_value(halfway, anchors, values, radius) == Fraction(1, 4)
 
     def test_tent_rejects_overlapping_supports(self):
-        anchors = AnchorSet(
-            ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))),
-            (Fraction(1), Fraction(1)),
-        )
-        with pytest.raises(ValueError):
-            tent_sum((Fraction(0), Fraction(0)), anchors, Fraction(2, 3))
+        """The brute-force radius leaves the tents no overlap: the midpoint
+        of two anchors one apart lies on the rim of both supports."""
+        anchors = (ORIGIN, (Fraction(1), Fraction(0)))
+        radius = brute_force_radius(anchors)
+        assert radius == Fraction(1, 2)
+        midpoint = (Fraction(1, 2), Fraction(0))
+        assert linear_scan_value(midpoint, anchors, (ONE, ONE), radius) == 0
 
     def test_tent_rejects_nonpositive_radius(self):
-        anchors = AnchorSet(((Fraction(0), Fraction(0)),), (Fraction(1),))
         with pytest.raises(ValueError):
-            tent_sum((Fraction(0), Fraction(0)), anchors, Fraction(0))
+            linear_scan_value(ORIGIN, (ORIGIN,), (ONE,), Fraction(0))
 
     def test_min_pairwise_distance(self):
         points = (
@@ -109,25 +116,19 @@ class TestReferenceOps:
             (Fraction(5), Fraction(0)),
             (Fraction(0), Fraction(3)),
         )
-        assert min_pairwise_distance(points) == 3
-        assert min_pairwise_distance(points[:1]) is None
+        assert brute_force_radius(points) == 1  # half of 3, capped at 1
+        assert brute_force_radius([(x / 4, y / 4) for x, y in points]) == Fraction(3, 8)
+        assert brute_force_radius(points[:1]) == 1
 
 
 class TestAnchorSetValidation:
     def test_rejects_duplicate_points(self):
         with pytest.raises(ValueError):
-            AnchorSet(
-                ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),
-                (Fraction(1), Fraction(1)),
-            )
-
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError):
-            AnchorSet(((Fraction(0), Fraction(0)),), (Fraction(2),))
+            brute_force_radius((ORIGIN, (Fraction(0), Fraction(0))))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            AnchorSet(((Fraction(0), Fraction(0)),), (Fraction(1), Fraction(0)))
+            linear_scan_value(ORIGIN, (ORIGIN,), (ONE, Fraction(0)), ONE)
 
 
 class TestBaseLevel:
@@ -150,28 +151,35 @@ class TestBaseLevel:
         cross = build(0, (Fraction(0),), (Fraction(0),), (), ())
         assert cross.radius == 1
         assert cross.lipschitz_bound == 1
-        assert len(cross.anchor_set) == 1
-        assert cross.value_at((Fraction(0), Fraction(1, 2))) == Fraction(1, 2)
+        anchors = cross_anchors((Fraction(0),), (Fraction(0),))
+        assert anchors == [ORIGIN]
+        point = (Fraction(0), Fraction(1, 2))
+        assert cross.value_at(point) == Fraction(1, 2)
+        assert linear_scan_value(point, anchors, (ONE,), ONE) == Fraction(1, 2)
 
 
 class TestWorkedLevelOne:
+    INSTANCE = (
+        1,
+        (Fraction(0), Fraction(1)),
+        (Fraction(0), Fraction(1)),
+        (Fraction(0),),
+        (Fraction(0),),
+    )
+
     def build(self):
-        return build(
-            1,
-            (Fraction(0), Fraction(1)),
-            (Fraction(0), Fraction(1)),
-            (Fraction(0),),
-            (Fraction(0),),
-        )
+        return build(*self.INSTANCE)
 
     def test_anchor_data(self):
         cross = self.build()
-        assert dict(cross.anchor_set.items()) == {
+        anchors, values = reference_data(*self.INSTANCE)
+        assert dict(zip(anchors, values)) == {
             (Fraction(1), Fraction(0)): Fraction(0),
             (Fraction(0), Fraction(1)): Fraction(0),
             (Fraction(1), Fraction(1)): Fraction(1),
         }
-        assert cross.radius == Fraction(1, 2)
+        assert all(cross.value_at(a) == v for a, v in zip(anchors, values))
+        assert cross.radius == brute_force_radius(anchors) == Fraction(1, 2)
         assert cross.lipschitz_bound == 3
 
     def test_center_value_is_one(self):
@@ -239,29 +247,33 @@ class TestCrossProperties:
     def test_interpolates_exactly(self, instance):
         """The interpolant reproduces every prescribed anchor value exactly."""
         cross = build(*instance)
-        assert len(cross.anchor_set) == 2 * cross.level + 1
-        for point, value in cross.anchor_set.items():
+        anchors, values = reference_data(*instance)
+        radius = brute_force_radius(anchors)
+        assert len(set(anchors)) == 2 * cross.level + 1
+        for point, value in zip(anchors, values):
             assert cross.value_at(point) == value
-            assert reference_value(cross, point) == value
+            assert linear_scan_value(point, anchors, values, radius) == value
 
     @given(cross_instances())
     @settings(max_examples=60, deadline=None)
     def test_radius_matches_brute_force(self, instance):
         """The axis-gap radius equals half the brute-force separation, capped."""
         cross = build(*instance)
-        separation = min_pairwise_distance(cross.anchor_set.points)
-        assert cross.radius == min(Fraction(1), separation / 2)
+        anchors, _ = reference_data(*instance)
+        assert cross.radius == brute_force_radius(anchors)
 
     @given(cross_instances(), coordinate, coordinate)
     @settings(max_examples=80, deadline=None)
     def test_fast_path_matches_reference(self, instance, t, s):
         """Nearest-nonzero-anchor evaluation equals the linear-scan hat times tent."""
         cross = build(*instance)
+        anchors, values = reference_data(*instance)
+        radius = brute_force_radius(anchors)
         for point in ((cross.column_x, t), (s, cross.row_y)):
             fast = cross.value_at(point)
-            assert fast == reference_value(cross, point)
+            assert fast == linear_scan_value(point, anchors, values, radius)
             assert 0 <= fast <= 1
-            if point not in cross.anchor_set.points:
+            if point not in anchors:
                 assert fast < 1
 
     @given(cross_instances(), coordinate, coordinate)

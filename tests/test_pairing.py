@@ -130,15 +130,3 @@ class TestLevelLookup:
     def test_found_below_cap_is_fine(self):
         pairing = Pairing()
         assert pairing.x_level(Fraction(1, 2), max_level=100) == 2
-
-    def test_frozen_pairing_rejects_growth(self):
-        pairing = Pairing()
-        pairing.extend(10)
-        pairing.freeze()
-        assert pairing.frozen
-        with pytest.raises(RuntimeError):
-            pairing.extend(1)
-        # known coordinates still resolve
-        assert pairing.x_level(Fraction(1)) == 1
-        with pytest.raises(RuntimeError):
-            pairing.x_level(Fraction(17, 5))

@@ -14,7 +14,6 @@ from crossweave.rationals import (
     enumerate_rational,
     format_rational,
     index_of,
-    normalize,
     parse_rational,
 )
 
@@ -40,21 +39,18 @@ def positive_sequence(count: int) -> list[Fraction]:
 
 
 class TestNormalize:
-    def test_reduces(self):
-        assert normalize(2, 4) == Fraction(1, 2)
+    """Parsing reduces to lowest terms with a positive denominator."""
 
-    def test_moves_sign_to_numerator(self):
-        value = normalize(3, -6)
-        assert value == Fraction(-1, 2)
-        assert value.denominator == 2
+    def test_reduces(self):
+        assert parse_rational("2/4") == Fraction(1, 2)
 
     def test_zero(self):
-        value = normalize(0, 7)
+        value = parse_rational("0/7")
         assert (value.numerator, value.denominator) == (0, 1)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
-            normalize(1, 0)
+            parse_rational("1/0")
 
 
 class TestParseFormat:

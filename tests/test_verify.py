@@ -12,6 +12,7 @@ from crossweave.cross_extension import Axis, build_cross
 from crossweave.verify import (
     DEFAULT_SEED,
     MAX_ORACLE_LEVEL,
+    Refusal,
     Report,
     check_image_density,
     check_oracle_equivalence,
@@ -57,7 +58,7 @@ class TestOracle:
             oracle_eval(woven.pairing, x, Fraction(0), max_level=3)
 
     def test_cap_cannot_be_raised(self, woven):
-        with pytest.raises(ValueError):
+        with pytest.raises(Refusal):
             oracle_eval(woven.pairing, Fraction(0), Fraction(0), MAX_ORACLE_LEVEL + 1)
 
     def test_equivalence_check_passes(self, woven):
@@ -66,7 +67,7 @@ class TestOracle:
         assert report.bounds["samples"] == 40
 
     def test_equivalence_check_rejects_deep_cap(self, woven):
-        with pytest.raises(ValueError):
+        with pytest.raises(Refusal):
             check_oracle_equivalence(woven, max_level=MAX_ORACLE_LEVEL + 1, samples=1)
 
     def test_rederives_parameter_tables_above_the_old_cap(self, woven):
@@ -219,12 +220,12 @@ class TestReportsAndDriver:
             assert abs(value) <= 8
 
     def test_run_suite_rejects_unknown_names(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(Refusal):
             run_suite("everything")
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_run_suite_rejects_depth_below_one(self, depth):
-        with pytest.raises(ValueError):
+        with pytest.raises(Refusal):
             run_suite("singleton", depth=depth)
 
     def test_run_suite_small_oracle(self):

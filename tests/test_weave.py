@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossweave.cross_extension import min_pairwise_distance, reference_value
+from crossweave.verify import brute_force_radius, cross_anchors, linear_scan_value
 from crossweave.weave import WovenFunction
 
 probe = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=16)
@@ -95,18 +95,20 @@ class TestIncrementalTower:
         tower = WovenFunction()
         tower.build_to(63)
         rng = random.Random(64)
+        pairs = tower.pairing.pairs
         for cross in tower.crosses:
-            anchors = cross.anchor_set
-            separation = min_pairwise_distance(anchors.points)
-            if separation is None:
-                assert cross.level == 0 and cross.radius == 1
-            else:
-                assert cross.radius == min(Fraction(1), separation / 2)
-            points = list(anchors.points)
+            n = cross.level
+            anchors = cross_anchors(
+                [x for x, _ in pairs[: n + 1]], [y for _, y in pairs[: n + 1]]
+            )
+            values = (*tower.column_params[n], Fraction(1), *tower.row_params[n])
+            radius = brute_force_radius(anchors)
+            assert cross.radius == radius
+            points = list(anchors)
             for _ in range(4):
                 t = Fraction(rng.randint(-128, 128), 64)
                 points += [(cross.column_x, cross.row_y + t), (cross.column_x + t, cross.row_y)]
-            for (ax, ay), value in anchors.items():
+            for (ax, ay), value in zip(anchors, values):
                 if value:
                     offset = cross.radius * Fraction(rng.randint(-63, 63), 64)
                     if ax == cross.column_x:
@@ -114,7 +116,9 @@ class TestIncrementalTower:
                     if ay == cross.row_y:
                         points.append((ax + offset, ay))
             for point in points:
-                assert cross.value_at(point) == reference_value(cross, point)
+                assert cross.value_at(point) == linear_scan_value(
+                    point, anchors, values, radius
+                )
 
 
 class TestLifecycle:
@@ -127,20 +131,6 @@ class TestLifecycle:
         fresh = WovenFunction()
         with pytest.raises(RuntimeError):
             fresh.lipschitz_of_level(0)
-
-    def test_freeze_blocks_growth_but_not_reads(self):
-        frozen = WovenFunction()
-        frozen.freeze(6)
-        assert frozen.built_levels == 6
-        assert frozen.value(Fraction(1), Fraction(3, 4)) == Fraction(3, 8)
-        with pytest.raises(RuntimeError):
-            frozen.build_level(6)
-        with pytest.raises(RuntimeError):
-            frozen.value(Fraction(17, 5), Fraction(0))
-
-    def test_freeze_requires_a_level(self):
-        with pytest.raises(ValueError):
-            WovenFunction().freeze(0)
 
     def test_rebuild_reproduces_tables_exactly(self):
         one, two = WovenFunction(), WovenFunction()
