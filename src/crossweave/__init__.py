@@ -9,14 +9,8 @@ plane; `verify` certifies the claimed properties at desk scale; `cli` wraps
 it all for the command line.
 """
 
-from .cross_extension import (
-    Axis,
-    CrossFunction,
-    base_value,
-    build_cross,
-    linf,
-)
-from .pairing import Box, Pairing, Point, enumerate_box
+from .cross_extension import Axis, CrossFunction, base_value, build_cross
+from .pairing import Box, Pairing, Point, Refusal, enumerate_box
 from .rationals import (
     Rational,
     decimal_approx,
@@ -54,6 +48,7 @@ __all__ = [
     "Pairing",
     "Point",
     "Rational",
+    "Refusal",
     "Report",
     "WovenFunction",
     "base_value",
@@ -70,7 +65,6 @@ __all__ = [
     "format_rational",
     "image_density_search",
     "index_of",
-    "linf",
     "nonfeeble_witness",
     "oracle_eval",
     "parse_rational",

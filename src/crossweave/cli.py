@@ -20,9 +20,9 @@ import sys
 from fractions import Fraction
 from typing import IO
 
-from .pairing import Pairing
+from .pairing import Pairing, Refusal
 from .rationals import Rational, decimal_approx, format_rational, parse_rational
-from .verify import DEFAULT_SEED, SUITE_NAMES, Refusal, run_suite
+from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
 from .weave import WovenFunction
 
 DEFAULT_MAX_LEVEL = 512
@@ -109,7 +109,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     woven = WovenFunction()
     try:
         value = woven.value(args.x, args.y, max_level=args.max_level)
-    except RuntimeError as error:
+    except Refusal as error:
         print(f"refused: {error}", file=sys.stderr)
         return 2
     print(format_rational(value))
@@ -121,9 +121,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _grid_rows(args: argparse.Namespace) -> tuple[list[Rational], list[Rational]]:
     d = args.denominator
     if d < 1:
-        raise ValueError("denominator must be at least 1")
+        raise Refusal("denominator must be at least 1")
     if args.x_min > args.x_max or args.y_min > args.y_max:
-        raise ValueError("empty range: min exceeds max")
+        raise Refusal("empty range: min exceeds max")
     xs = [
         Fraction(i, d)
         for i in range(math.ceil(args.x_min * d), math.floor(args.x_max * d) + 1)
@@ -134,7 +134,7 @@ def _grid_rows(args: argparse.Namespace) -> tuple[list[Rational], list[Rational]
     ]
     cells = len(xs) * len(ys)
     if cells > args.max_cells:
-        raise ValueError(f"grid has {cells} cells, above the cap {args.max_cells}")
+        raise Refusal(f"grid has {cells} cells, above the cap {args.max_cells}")
     return xs, ys
 
 
@@ -145,7 +145,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         # resolve every level first so a refusal happens before any output
         for x in xs:
             woven.pairing.x_level(x, max_level=args.max_level)
-    except (ValueError, RuntimeError) as error:
+    except Refusal as error:
         print(f"refused: {error}", file=sys.stderr)
         return 2
 

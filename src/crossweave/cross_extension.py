@@ -46,11 +46,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def linf(a: Point, b: Point) -> Rational:
-    """L-infinity distance between two points of the rational plane."""
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 def base_value(x0: Rational, y0: Rational, point: Point) -> Rational:
     """The level-0 function: a bare unit hat centered at (x0, y0).
 
@@ -60,7 +55,7 @@ def base_value(x0: Rational, y0: Rational, point: Point) -> Rational:
     px, py = point
     if px != x0 and py != y0:
         raise ValueError("point lies off the level-0 cross")
-    return max(ZERO, ONE - linf(point, (x0, y0)))
+    return max(ZERO, ONE - max(abs(px - x0), abs(py - y0)))
 
 
 class Axis:

@@ -24,6 +24,14 @@ from .rationals import Rational, enumerate_rational, index_of
 Point = tuple[Rational, Rational]
 
 
+class Refusal(ValueError):
+    """A request the package declines: a level above its cap, an oversized
+    or empty grid, an unknown suite, a depth out of range.
+
+    Anything else raised is a fault, not a refusal.
+    """
+
+
 @dataclass(frozen=True)
 class Box:
     """Open axis-aligned rectangle with rational corners."""
@@ -161,7 +169,7 @@ class Pairing:
         A rational of enumeration index i is consumed as an x-coordinate no
         later than step 3*(i+1), because every third step takes the least
         unused index; so the lookup always terminates.  With `max_level`
-        set, any answer above it becomes a refusal instead, whether the
+        set, any answer above it raises `Refusal` instead, whether the
         level is already known or would require extension to find.
         """
         return self._level(0, value, max_level)
@@ -176,7 +184,7 @@ class Pairing:
         level = levels.get(value)
         if level is not None:
             if max_level is not None and level > max_level:
-                raise RuntimeError(
+                raise Refusal(
                     f"level of {name}-coordinate is {level}, above the cap {max_level}"
                 )
             return level
@@ -187,7 +195,7 @@ class Pairing:
             self.extend(1)
         level = levels.get(value)
         if level is None:
-            raise RuntimeError(
+            raise Refusal(
                 f"level of {name}-coordinate would exceed max_level={max_level}"
             )
         return level

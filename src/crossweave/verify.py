@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .pairing import Pairing, Point, enumerate_box
+from .pairing import Pairing, Point, Refusal, enumerate_box
 from .rationals import Rational, format_rational
 from .weave import WovenFunction
 
@@ -91,13 +91,6 @@ class Report:
 
 
 # -- independent reference and oracle --------------------------------------
-
-
-class Refusal(ValueError):
-    """A request the verifier declines (unknown suite, depth out of range).
-
-    Anything else raised out of a check is a fault, not a refusal.
-    """
 
 
 def _linf(a: Point, b: Point) -> Rational:
@@ -529,6 +522,7 @@ def check_oracle_equivalence(
 
 SUITE_DEFAULT_DEPTH = {
     "singleton": 512,
+    "range": 512,
     "welldef": 128,
     "density": 20,
     "witness": 50,
@@ -544,6 +538,8 @@ def _run_one(
 ) -> Report:
     if suite == "singleton":
         return check_singleton_image(woven, depth)
+    if suite == "range":
+        return check_parameter_range(woven, depth)
     if suite == "welldef":
         return check_welldefined(woven, depth, depth)
     if suite == "density":

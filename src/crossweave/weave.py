@@ -17,19 +17,95 @@ independent of the route: evaluating through the level n with y_n = y gives
 the identical rational, and each vertical or horizontal section of the
 global function is a single F_m restricted to a line, hence continuous.
 
-The parameters are memoized level by level (the table is the construction),
-so building m levels takes m(m - 1) evaluations, each one bisection over the
-few nonzero anchors of one line of an earlier cross, and one bisection per
-axis per level keeps the tent radius current.  The prescribed values always
-land in [0, 1): the point (x_k, y_i) is never an anchor of the earlier F_i,
-and off its anchors a hat-tent product stays strictly below 1.
+The parameters are memoized level by level (the table is the construction).
+Almost all of them are 0, and a screen per axis (`Screen`) finds the rest
+without evaluating them.  Level i's value at a point of one of its lines is
+nonzero exactly when a nonzero anchor of that line lies within the radius
+r_i of the point.  The radius never grows from level to level: r_0 = 1 is
+the reach of the level-0 hat, and r_n = min(1, half the running minimum
+coordinate gap) after it.  So at distance d from an anchor a, the levels
+that reach the point are a prefix of the increasing levels with a nonzero
+anchor at a, those with r_i > d, and every one of them is nonzero.
+Building m levels then evaluates each nonzero parameter once, each through
+one bisection over the few nonzero anchors of one line of an earlier cross;
+every other entry is filled with 0.  The screen asks one sorted group of
+anchors per radius scale, so a level costs a bisection per group and axis,
+plus one bisection per axis to keep the tent radius current.  The
+prescribed values always land in [0, 1): the point (x_k, y_i) is never an
+anchor of the earlier F_i, and off its anchors a hat-tent product stays
+strictly below 1.
 """
 
 from __future__ import annotations
 
-from .cross_extension import Axis, CrossFunction, build_cross
-from .pairing import Pairing
+from bisect import bisect_left, insort
+from fractions import Fraction
+from itertools import islice
+
+from .cross_extension import ZERO, Axis, CrossFunction, build_cross
+from .pairing import Pairing, Point
 from .rationals import Rational
+
+
+class Screen:
+    """The earlier levels whose line along one axis is nonzero at a coordinate.
+
+    Axis 0 screens the levels' rows, whose anchors sit at x-coordinates;
+    axis 1 screens their columns.  Each anchor coordinate a maps to the
+    increasing levels with a nonzero anchor at a on that line.  The first
+    is the level whose center is a, and it has the largest radius of them,
+    since radii never grow.  The coordinates are grouped by
+    k = floor(log2(1/r)) of their first level's radius r, each group
+    sorted, so only the coordinates within 2^-k of a query can reach it.
+    """
+
+    def __init__(self, axis: int) -> None:
+        self.axis = axis
+        self._levels: dict[Rational, list[int]] = {}
+        self._groups: dict[int, tuple[Rational, list[Rational]]] = {}
+
+    def reaching(self, t: Rational, crosses: list[CrossFunction]) -> list[int]:
+        """The levels whose line is nonzero at coordinate t, in no set order."""
+        found = []
+        for width, coordinates in self._groups.values():
+            pos = bisect_left(coordinates, t - width)
+            for a in islice(coordinates, pos, None):
+                d = a - t
+                if d >= width:
+                    break
+                d = abs(d)
+                for level in self._levels[a]:
+                    if d >= crosses[level].radius:
+                        break
+                    found.append(level)
+        return found
+
+    def prescribed(
+        self, t: Rational, crosses: list[CrossFunction], pairs: list[Point]
+    ) -> tuple[tuple[Rational, ...], list[int]]:
+        """Every earlier level's value on its line at coordinate t, and the
+        levels where it is nonzero; only those are evaluated."""
+        params = [ZERO] * len(crosses)
+        levels = self.reaching(t, crosses)
+        for i in levels:
+            x, y = pairs[i]
+            params[i] = crosses[i].value_at((t, y) if self.axis == 0 else (x, t))
+        return tuple(params), levels
+
+    def add(
+        self, level: int, radius: Rational, pairs: list[Point], nonzero: list[int]
+    ) -> None:
+        """Record the new level's line on this axis: its center, first seen
+        here, and the coordinates of the earlier levels where it is nonzero."""
+        center = pairs[level][self.axis]
+        self._levels[center] = []
+        # floor(log2(1/r)) equals floor(log2(floor(1/r))), as 1/r >= 1
+        k = (radius.denominator // radius.numerator).bit_length() - 1
+        if k not in self._groups:
+            self._groups[k] = (Fraction(1, 1 << k), [])
+        insort(self._groups[k][1], center)
+        for i in (*nonzero, level):
+            self._levels[pairs[i][self.axis]].append(level)
 
 
 class WovenFunction:
@@ -46,6 +122,9 @@ class WovenFunction:
         # the coordinates of the built levels, sorted, for the tent radius
         self._x_axis = Axis()
         self._y_axis = Axis()
+        # the nonzero lines of the built levels: rows by x, columns by y
+        self._x_screen = Screen(0)
+        self._y_screen = Screen(1)
 
     @property
     def built_levels(self) -> int:
@@ -70,12 +149,16 @@ class WovenFunction:
         pairs = self.pairing.pairs
         x_new, y_new = pairs[level]
         crosses = self.crosses
-        column = tuple(crosses[i].value_at((x_new, pairs[i][1])) for i in range(level))
-        row = tuple(crosses[i].value_at((pairs[i][0], y_new)) for i in range(level))
+        column, column_levels = self._x_screen.prescribed(x_new, crosses, pairs)
+        row, row_levels = self._y_screen.prescribed(y_new, crosses, pairs)
         xs, ys = zip(*pairs[: level + 1])
         cross = build_cross(level, xs, ys, column, row, self._x_axis, self._y_axis)
         self._x_axis.place(x_new)
         self._y_axis.place(y_new)
+        # the new row is nonzero at x_n and at the x_i of its nonzero
+        # parameters, the new column likewise along y
+        self._x_screen.add(level, cross.radius, pairs, row_levels)
+        self._y_screen.add(level, cross.radius, pairs, column_levels)
         self.crosses.append(cross)
         self.column_params.append(column)
         self.row_params.append(row)
@@ -92,9 +175,9 @@ class WovenFunction:
         """Exact value at (x, y), through the level whose column holds x.
 
         This is the defining route.  The pairing and the level tower extend
-        on demand; `max_level` turns runaway extension into a
-        refusal (levels grow cubically with the enumeration index of x,
-        which can be astronomical for innocent-looking rationals).
+        on demand; `max_level` turns runaway extension into a `Refusal`
+        (the level of x is at most 3(i + 1) for its enumeration index i,
+        but i can be astronomical for innocent-looking rationals).
         """
         level = self.pairing.x_level(x, max_level)
         self.build_to(level)

@@ -8,7 +8,13 @@ import pytest
 
 import crossweave.cli as cli
 import crossweave.verify as verify
+from crossweave.pairing import Pairing
 from crossweave.verify import MAX_ORACLE_LEVEL, Report
+from crossweave.weave import WovenFunction
+
+
+def fault(*args, **kwargs):
+    raise RuntimeError("level 1 not built")
 
 
 def run(capsys, *argv):
@@ -44,6 +50,12 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert "refused" in err
+
+    def test_fault_in_the_build_is_not_a_refusal(self, capsys, monkeypatch):
+        monkeypatch.setattr(WovenFunction, "build_to", fault)
+        with pytest.raises(RuntimeError):
+            cli.main(["eval", "--x", "1", "--y", "0"])
+        assert "refused" not in capsys.readouterr().err
 
 
 class TestGrid:
@@ -95,6 +107,15 @@ class TestGrid:
         assert out == ""  # refusal precedes any CSV
         assert "refused" in err
 
+    @pytest.mark.parametrize(
+        "owner, name", [(WovenFunction, "build_to"), (Pairing, "x_level")]
+    )
+    def test_fault_is_not_a_refusal(self, capsys, monkeypatch, owner, name):
+        monkeypatch.setattr(owner, name, fault)
+        with pytest.raises(RuntimeError):
+            cli.main(["grid", "--denominator", "1"])
+        assert "refused" not in capsys.readouterr().err
+
 
 class TestPairs:
     def test_text_lines(self, capsys):
@@ -132,6 +153,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "oracle", "--depth", "3")
         assert code == 0
         assert "PASS oracle_equivalence" in out
+
+    def test_range_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "range", "--depth", "64")
+        assert code == 0
+        assert "PASS parameter_range  levels=64" in out
+        assert "1/1 checks passed" in out
 
     def test_json_format(self, capsys):
         code, out, _ = run(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossweave.cross_extension import Axis, base_value, build_cross, linf
+from crossweave.cross_extension import Axis, base_value, build_cross
 from crossweave.verify import brute_force_radius, cross_anchors, linear_scan_value
 
 ONE = Fraction(1)
@@ -64,9 +64,6 @@ def cross_instances(draw):
 
 
 class TestReferenceOps:
-    def test_linf(self):
-        assert linf((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-2))) == 2
-
     def test_hat_at_anchor(self):
         anchor = (Fraction(1), Fraction(1))
         assert linear_scan_value(anchor, (anchor,), (ONE,), ONE) == 1
@@ -142,6 +139,16 @@ class TestBaseLevel:
 
     def test_clamps_far_away(self):
         assert base_value(Fraction(0), Fraction(0), (Fraction(5), Fraction(0))) == 0
+
+    def test_distance_along_each_line(self):
+        """The hats of (0, 0) and (1/2, -2), L-infinity distance 2 apart, at
+        the two points where their crosses meet."""
+        near, far = (Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-2))
+        meet_near_row, meet_near_column = (far[0], near[1]), (near[0], far[1])
+        assert base_value(*near, meet_near_row) == Fraction(1, 2)
+        assert base_value(*near, meet_near_column) == 0
+        assert base_value(*far, meet_near_row) == 0
+        assert base_value(*far, meet_near_column) == Fraction(1, 2)
 
     def test_rejects_off_cross(self):
         with pytest.raises(ValueError):
@@ -284,4 +291,5 @@ class TestCrossProperties:
         p = (cross.column_x, t)
         q = (s, cross.row_y)
         bound = cross.lipschitz_bound
-        assert abs(cross.value_at(p) - cross.value_at(q)) <= bound * linf(p, q)
+        distance = max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+        assert abs(cross.value_at(p) - cross.value_at(q)) <= bound * distance

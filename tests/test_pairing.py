@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossweave.pairing import Box, Pairing, enumerate_box
+from crossweave.pairing import Box, Pairing, Refusal, enumerate_box
 from crossweave.rationals import enumerate_rational, index_of
 
 EXPECTED_PREFIX = [
@@ -122,7 +122,7 @@ class TestLevelLookup:
 
     def test_level_cap_refuses(self):
         pairing = Pairing()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(Refusal):
             pairing.x_level(Fraction(63, 64), max_level=100)
         # the cap bounded the wasted work
         assert len(pairing) <= 102

@@ -54,7 +54,7 @@ class TestOracle:
 
     def test_refuses_deep_levels(self, woven):
         x = woven.pairing.x_coordinate(5)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(Refusal):
             oracle_eval(woven.pairing, x, Fraction(0), max_level=3)
 
     def test_cap_cannot_be_raised(self, woven):

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossweave.cross_extension import CrossFunction
+from crossweave.pairing import Refusal
 from crossweave.verify import brute_force_radius, cross_anchors, linear_scan_value
 from crossweave.weave import WovenFunction
 
@@ -121,6 +123,44 @@ class TestIncrementalTower:
                 )
 
 
+class TestScreenedBuild:
+    def test_tables_match_the_definition(self):
+        """Every parameter of a 300-level tower, zero or not, equals the
+        earlier level's value at its point, and the radius never grows."""
+        tower = WovenFunction()
+        tower.build_to(299)
+        pairs, crosses = tower.pairing.pairs, tower.crosses
+        for n, (x_n, y_n) in enumerate(pairs[:300]):
+            assert tower.column_params[n] == tuple(
+                crosses[i].value_at((x_n, pairs[i][1])) for i in range(n)
+            )
+            assert tower.row_params[n] == tuple(
+                crosses[i].value_at((pairs[i][0], y_n)) for i in range(n)
+            )
+        radii = [cross.radius for cross in crosses]
+        assert radii == sorted(radii, reverse=True)
+
+    def test_evaluates_only_the_nonzero_parameters(self, monkeypatch):
+        calls = 0
+        value_at = CrossFunction.value_at
+
+        def counted(self, point):
+            nonlocal calls
+            calls += 1
+            return value_at(self, point)
+
+        monkeypatch.setattr(CrossFunction, "value_at", counted)
+        tower = WovenFunction()
+        tower.build_to(255)
+        nonzero = sum(
+            bool(value)
+            for table in (tower.column_params, tower.row_params)
+            for params in table
+            for value in params
+        )
+        assert calls == nonzero == 1035
+
+
 class TestLifecycle:
     def test_out_of_order_build_rejected(self):
         fresh = WovenFunction()
@@ -142,5 +182,5 @@ class TestLifecycle:
 
     def test_level_cap_refusal(self):
         fresh = WovenFunction()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(Refusal):
             fresh.value(Fraction(63, 64), Fraction(0), max_level=64)
