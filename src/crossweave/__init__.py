@@ -9,7 +9,7 @@ plane; `verify` certifies the claimed properties at desk scale; `cli` wraps
 it all for the command line.
 """
 
-from .cross_extension import Axis, CrossFunction, base_value, build_cross
+from .cross_extension import CrossFunction
 from .pairing import Box, Pairing, Point, Refusal, enumerate_box
 from .rationals import (
     Rational,
@@ -40,7 +40,6 @@ from .weave import WovenFunction
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis",
     "Box",
     "CrossFunction",
     "DEFAULT_SEED",
@@ -51,8 +50,6 @@ __all__ = [
     "Refusal",
     "Report",
     "WovenFunction",
-    "base_value",
-    "build_cross",
     "check_image_density",
     "check_oracle_equivalence",
     "check_parameter_range",

@@ -3,7 +3,8 @@
 Exact values are always printed in the canonical "p/q" form; decimal output
 is advisory (20 significant digits, round to nearest) and clearly labeled.
 Exit codes: 0 all good, 1 a verification check failed, 2 usage error or
-refusal (unparseable rational, oversized grid, level cap exceeded).
+refusal (unparseable rational, unwritable output file, oversized grid,
+level cap exceeded).
 
 Levels grow with the enumeration index of the x-coordinate, and that index
 is exponential in the continued-fraction runs of the value, so evaluating at
@@ -106,12 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    woven = WovenFunction()
-    try:
-        value = woven.value(args.x, args.y, max_level=args.max_level)
-    except Refusal as error:
-        print(f"refused: {error}", file=sys.stderr)
-        return 2
+    value = WovenFunction().value(args.x, args.y, max_level=args.max_level)
     print(format_rational(value))
     if args.decimal:
         print(f"decimal: {decimal_approx(value)}")
@@ -124,30 +120,24 @@ def _grid_rows(args: argparse.Namespace) -> tuple[list[Rational], list[Rational]
         raise Refusal("denominator must be at least 1")
     if args.x_min > args.x_max or args.y_min > args.y_max:
         raise Refusal("empty range: min exceeds max")
-    xs = [
-        Fraction(i, d)
-        for i in range(math.ceil(args.x_min * d), math.floor(args.x_max * d) + 1)
+    # count the cells before building any coordinate list
+    bounds = [
+        (math.ceil(lo * d), math.floor(hi * d) + 1)
+        for lo, hi in ((args.x_min, args.x_max), (args.y_min, args.y_max))
     ]
-    ys = [
-        Fraction(j, d)
-        for j in range(math.ceil(args.y_min * d), math.floor(args.y_max * d) + 1)
-    ]
-    cells = len(xs) * len(ys)
+    cells = math.prod(stop - start for start, stop in bounds)
     if cells > args.max_cells:
         raise Refusal(f"grid has {cells} cells, above the cap {args.max_cells}")
+    xs, ys = ([Fraction(i, d) for i in range(*bound)] for bound in bounds)
     return xs, ys
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     woven = WovenFunction()
-    try:
-        xs, ys = _grid_rows(args)
-        # resolve every level first so a refusal happens before any output
-        for x in xs:
-            woven.pairing.x_level(x, max_level=args.max_level)
-    except Refusal as error:
-        print(f"refused: {error}", file=sys.stderr)
-        return 2
+    xs, ys = _grid_rows(args)
+    # resolve every level first so a refusal happens before any output
+    for x in xs:
+        woven.pairing.x_level(x, max_level=args.max_level)
 
     def emit(stream: IO[str]) -> None:
         stream.write("x,y,value_exact,value_decimal\n")
@@ -161,16 +151,19 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
     if args.out is None:
         emit(sys.stdout)
-    else:
-        with open(args.out, "w", encoding="ascii", newline="\n") as stream:
-            emit(stream)
+        return 0
+    try:
+        stream = open(args.out, "w", encoding="ascii", newline="\n")
+    except OSError as error:
+        raise Refusal(f"cannot write {args.out}: {error.strerror}") from None
+    with stream:
+        emit(stream)
     return 0
 
 
 def _cmd_pairs(args: argparse.Namespace) -> int:
     if args.count < 0:
-        print("refused: count must be nonnegative", file=sys.stderr)
-        return 2
+        raise Refusal("count must be nonnegative")
     pairing = Pairing()
     pairing.extend(args.count)
     if args.json:
@@ -186,11 +179,7 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        reports = run_suite(args.suite, depth=args.depth, seed=args.seed)
-    except Refusal as error:
-        print(f"refused: {error}", file=sys.stderr)
-        return 2
+    reports = run_suite(args.suite, depth=args.depth, seed=args.seed)
     if args.format == "json":
         print(json.dumps([report.to_dict() for report in reports], indent=2))
     else:
@@ -209,7 +198,11 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": _cmd_pairs,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except Refusal as error:
+        print(f"refused: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -38,12 +38,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from fractions import Fraction
+from typing import Iterable
 
 from .pairing import Point
 from .rationals import Rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+Line = tuple[tuple[Rational, ...], tuple[Rational, ...]]
 
 
 def base_value(x0: Rational, y0: Rational, point: Point) -> Rational:
@@ -106,17 +109,17 @@ class CrossFunction:
         center: Point,
         radius: Rational,
         lipschitz_bound: Rational,
-        column_line: tuple[tuple[Rational, ...], tuple[Rational, ...]],
-        row_line: tuple[tuple[Rational, ...], tuple[Rational, ...]],
+        lines: tuple[Line, Line],
     ) -> None:
         self.level = level
         self.column_x, self.row_y = center
         self.radius = radius
         self.lipschitz_bound = lipschitz_bound
-        # nonzero anchors of each line as (sorted coordinates, values); the
-        # center, value 1, is on both: its y on the column, its x on the row
-        self._column_line = column_line
-        self._row_line = row_line
+        # the nonzero anchors of each line, indexed by the axis their
+        # coordinates lie on: the row's at x-coordinates, the column's at
+        # y-coordinates.  The center, value 1, is on both.  These are the
+        # only record of the level's prescribed values.
+        self.lines = lines
 
     def value_at(self, point: Point) -> Rational:
         """Exact value at a point of the cross, through its nearest nonzero anchor.
@@ -134,9 +137,9 @@ class CrossFunction:
         """
         px, py = point
         if px == self.column_x:
-            (coordinates, values), t = self._column_line, py
+            (coordinates, values), t = self.lines[1], py
         elif py == self.row_y:
-            (coordinates, values), t = self._row_line, px
+            (coordinates, values), t = self.lines[0], px
         else:
             raise ValueError(f"point lies off the level-{self.level} cross")
         if self.level == 0:
@@ -155,15 +158,15 @@ class CrossFunction:
 
 
 def _nonzero_line(
-    coordinates: tuple[Rational, ...], params: tuple[Rational, ...], center: Rational
-) -> tuple[tuple[Rational, ...], tuple[Rational, ...]]:
+    anchors: Iterable[tuple[Rational, Rational]], center: Rational
+) -> Line:
     """The center (value 1) and the nonzero anchors of one line, sorted.
 
     Refuses a prescribed value outside [0, 1); a zero one is in range, so
     only the nonzero ones need comparing, and it is dropped.
     """
     line = [(center, ONE)]
-    for coordinate, value in zip(coordinates, params):
+    for coordinate, value in anchors:
         if value:
             if not (ZERO < value < ONE):
                 raise ValueError("prescribed values must lie in [0, 1)")
@@ -174,20 +177,20 @@ def _nonzero_line(
 
 def build_cross(
     level: int,
-    xs: tuple[Rational, ...],
-    ys: tuple[Rational, ...],
-    column_params: tuple[Rational, ...],
-    row_params: tuple[Rational, ...],
+    center: Point,
+    column_anchors: Iterable[tuple[Rational, Rational]],
+    row_anchors: Iterable[tuple[Rational, Rational]],
     x_axis: Axis,
     y_axis: Axis,
 ) -> CrossFunction:
-    """Build the level-n interpolant from coordinates x_0..x_n, y_0..y_n.
+    """Build the level-n interpolant centered at (x_n, y_n).
 
-    `column_params[i]` is the prescribed value at (x_n, y_i) and
-    `row_params[i]` the one at (x_i, y_n), both required to lie in [0, 1);
-    the center (x_n, y_n) always gets value 1.  `x_axis` and `y_axis` hold
-    the earlier coordinates x_0..x_{n-1} and y_0..y_{n-1}; they are read,
-    not changed, and the caller places x_n and y_n once the level is built.
+    `column_anchors` holds pairs (y_i, value at (x_n, y_i)) and
+    `row_anchors` pairs (x_i, value at (x_i, y_n)), for earlier levels i
+    and values in [0, 1); an anchor left out has value 0.  The center
+    (x_n, y_n) always gets value 1.  `x_axis` and `y_axis` hold the earlier
+    coordinates x_0..x_{n-1} and y_0..y_{n-1}; they are read, not changed,
+    and the caller places x_n and y_n once the level is built.
 
     The tent radius is min(1, half the minimum pairwise anchor distance).
     Two anchors on one line are a coordinate gap apart, and anchors on
@@ -196,13 +199,9 @@ def build_cross(
     smaller of the two axes' minimum gaps once x_n and y_n join them.  The
     recorded Lipschitz bound is 1 + 1/radius (1 for the bare hat at level 0).
     """
-    if len(xs) != level + 1 or len(ys) != level + 1:
-        raise ValueError("need exactly level + 1 coordinates per axis")
     if len(x_axis) != level or len(y_axis) != level:
         raise ValueError("axes must hold exactly the earlier levels' coordinates")
-    if len(column_params) != level or len(row_params) != level:
-        raise ValueError("need exactly one parameter per earlier level")
-    center_x, center_y = xs[-1], ys[-1]
+    center_x, center_y = center
     if level == 0:
         radius = ONE
         lipschitz = ONE
@@ -210,8 +209,6 @@ def build_cross(
         separation = min(x_axis.min_gap_with(center_x), y_axis.min_gap_with(center_y))
         radius = min(ONE, separation / 2)
         lipschitz = ONE + ONE / radius
-    column_line = _nonzero_line(ys, column_params, center_y)
-    row_line = _nonzero_line(xs, row_params, center_x)
-    return CrossFunction(
-        level, (center_x, center_y), radius, lipschitz, column_line, row_line
-    )
+    row_line = _nonzero_line(row_anchors, center_x)
+    column_line = _nonzero_line(column_anchors, center_y)
+    return CrossFunction(level, center, radius, lipschitz, (row_line, column_line))

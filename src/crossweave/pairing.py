@@ -26,7 +26,7 @@ Point = tuple[Rational, Rational]
 
 class Refusal(ValueError):
     """A request the package declines: a level above its cap, an oversized
-    or empty grid, an unknown suite, a depth out of range.
+    or empty grid, an unwritable output, an unknown suite, a depth out of range.
 
     Anything else raised is a fault, not a refusal.
     """

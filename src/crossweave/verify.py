@@ -258,7 +258,7 @@ def check_welldefined(woven: WovenFunction, columns: int = 128, rows: int = 128)
 
 
 def check_parameter_range(woven: WovenFunction, levels: int = 256) -> Report:
-    """Every memoized prescribed value must lie in [0, 1) exactly."""
+    """Every prescribed value of the derived tables must lie in [0, 1) exactly."""
     woven.build_to(levels - 1)
     failures = []
     for k in range(levels):

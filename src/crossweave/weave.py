@@ -17,20 +17,20 @@ independent of the route: evaluating through the level n with y_n = y gives
 the identical rational, and each vertical or horizontal section of the
 global function is a single F_m restricted to a line, hence continuous.
 
-The parameters are memoized level by level (the table is the construction).
-Almost all of them are 0, and a screen per axis (`Screen`) finds the rest
-without evaluating them.  Level i's value at a point of one of its lines is
-nonzero exactly when a nonzero anchor of that line lies within the radius
-r_i of the point.  The radius never grows from level to level: r_0 = 1 is
-the reach of the level-0 hat, and r_n = min(1, half the running minimum
-coordinate gap) after it.  So at distance d from an anchor a, the levels
-that reach the point are a prefix of the increasing levels with a nonzero
-anchor at a, those with r_i > d, and every one of them is nonzero.
-Building m levels then evaluates each nonzero parameter once, each through
-one bisection over the few nonzero anchors of one line of an earlier cross;
-every other entry is filled with 0.  The screen asks one sorted group of
-anchors per radius scale, so a level costs a bisection per group and axis,
-plus one bisection per axis to keep the tent radius current.  The
+Almost all of the parameters are 0, and a screen per axis (`Screen`) finds
+the rest without evaluating them.  Level i's value at a point of one of its
+lines is nonzero exactly when a nonzero anchor of that line lies within the
+radius r_i of the point.  The radius never grows from level to level:
+r_0 = 1 is the reach of the level-0 hat, and r_n = min(1, half the running
+minimum coordinate gap) after it.  So at distance d from an anchor a, the
+levels that reach the point are a prefix of the increasing levels with a
+nonzero anchor at a, those with r_i > d, and every one of them is nonzero.
+Building a level then evaluates each of its nonzero parameters once, by one
+bisection over the few nonzero anchors of an earlier line, plus a bisection
+per radius scale and axis for the screen and one per axis for the tent
+radius.  The new cross stores those anchors, and nothing else records the
+parameters: `column_params` and `row_params` fill in the zeros on demand,
+so memory grows with the levels plus the nonzero parameters.  The
 prescribed values always land in [0, 1): the point (x_k, y_i) is never an
 anchor of the earlier F_i, and off its anchors a hat-tent product stays
 strictly below 1.
@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .cross_extension import ZERO, Axis, CrossFunction, build_cross
-from .pairing import Pairing, Point
+from .pairing import Pairing
 from .rationals import Rational
 
 
@@ -64,9 +64,13 @@ class Screen:
         self._levels: dict[Rational, list[int]] = {}
         self._groups: dict[int, tuple[Rational, list[Rational]]] = {}
 
-    def reaching(self, t: Rational, crosses: list[CrossFunction]) -> list[int]:
-        """The levels whose line is nonzero at coordinate t, in no set order."""
-        found = []
+    def prescribed(
+        self, t: Rational, crosses: list[CrossFunction]
+    ) -> list[tuple[Rational, Rational]]:
+        """The earlier levels' nonzero values on their lines at coordinate t,
+        each with its level's other center coordinate, where it anchors the
+        new level's crossing line; no other level is evaluated."""
+        anchors = []
         for width, coordinates in self._groups.values():
             pos = bisect_left(coordinates, t - width)
             for a in islice(coordinates, pos, None):
@@ -75,37 +79,58 @@ class Screen:
                     break
                 d = abs(d)
                 for level in self._levels[a]:
-                    if d >= crosses[level].radius:
+                    cross = crosses[level]
+                    if d >= cross.radius:
                         break
-                    found.append(level)
-        return found
+                    s = (cross.column_x, cross.row_y)[1 - self.axis]
+                    point = (t, s) if self.axis == 0 else (s, t)
+                    anchors.append((s, cross.value_at(point)))
+        return anchors
 
-    def prescribed(
-        self, t: Rational, crosses: list[CrossFunction], pairs: list[Point]
-    ) -> tuple[tuple[Rational, ...], list[int]]:
-        """Every earlier level's value on its line at coordinate t, and the
-        levels where it is nonzero; only those are evaluated."""
-        params = [ZERO] * len(crosses)
-        levels = self.reaching(t, crosses)
-        for i in levels:
-            x, y = pairs[i]
-            params[i] = crosses[i].value_at((t, y) if self.axis == 0 else (x, t))
-        return tuple(params), levels
-
-    def add(
-        self, level: int, radius: Rational, pairs: list[Point], nonzero: list[int]
-    ) -> None:
+    def add(self, cross: CrossFunction) -> None:
         """Record the new level's line on this axis: its center, first seen
-        here, and the coordinates of the earlier levels where it is nonzero."""
-        center = pairs[level][self.axis]
+        here, and the coordinates of its other nonzero anchors."""
+        coordinates, _ = cross.lines[self.axis]
+        center = (cross.column_x, cross.row_y)[self.axis]
         self._levels[center] = []
         # floor(log2(1/r)) equals floor(log2(floor(1/r))), as 1/r >= 1
-        k = (radius.denominator // radius.numerator).bit_length() - 1
+        k = (cross.radius.denominator // cross.radius.numerator).bit_length() - 1
         if k not in self._groups:
             self._groups[k] = (Fraction(1, 1 << k), [])
         insort(self._groups[k][1], center)
-        for i in (*nonzero, level):
-            self._levels[pairs[i][self.axis]].append(level)
+        for a in coordinates:
+            self._levels[a].append(cross.level)
+
+
+class ParameterTable:
+    """Read-only view of a parameter table, derived from the crosses.
+
+    `table[n]` is level n's n prescribed values on its row (axis 0) or its
+    column (axis 1), in level order; each nonzero anchor's coordinate on
+    that axis names its level through the pairing, and the rest are 0.
+    """
+
+    def __init__(
+        self, crosses: list[CrossFunction], pairing: Pairing, axis: int
+    ) -> None:
+        self._crosses = crosses
+        self._level_of = (pairing.level_of_x, pairing.level_of_y)[axis]
+        self._axis = axis
+
+    def __len__(self) -> int:
+        return len(self._crosses)
+
+    def __getitem__(self, level: int) -> tuple[Rational, ...]:
+        cross = self._crosses[level]
+        params = [ZERO] * cross.level
+        for a, value in zip(*cross.lines[self._axis]):
+            i = self._level_of[a]
+            if i < cross.level:  # the center, at level n itself, is no parameter
+                params[i] = value
+        return tuple(params)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ParameterTable) and tuple(self) == tuple(other)
 
 
 class WovenFunction:
@@ -117,14 +142,12 @@ class WovenFunction:
     def __init__(self, pairing: Pairing | None = None) -> None:
         self.pairing = pairing if pairing is not None else Pairing()
         self.crosses: list[CrossFunction] = []
-        self.column_params: list[tuple[Rational, ...]] = []
-        self.row_params: list[tuple[Rational, ...]] = []
-        # the coordinates of the built levels, sorted, for the tent radius
-        self._x_axis = Axis()
-        self._y_axis = Axis()
-        # the nonzero lines of the built levels: rows by x, columns by y
-        self._x_screen = Screen(0)
-        self._y_screen = Screen(1)
+        self.column_params = ParameterTable(self.crosses, self.pairing, 1)
+        self.row_params = ParameterTable(self.crosses, self.pairing, 0)
+        # per axis, 0 for x and 1 for y: the built levels' sorted
+        # coordinates, and the screen of their rows (by x) or columns (by y)
+        self._axes = (Axis(), Axis())
+        self._screens = (Screen(0), Screen(1))
 
     @property
     def built_levels(self) -> int:
@@ -135,10 +158,6 @@ class WovenFunction:
             raise RuntimeError(f"level {level} not built")
         return self.crosses[level]
 
-    def lipschitz_of_level(self, level: int) -> Rational:
-        """Recorded plane Lipschitz bound of the level's interpolant."""
-        return self.cross(level).lipschitz_bound
-
     def build_level(self, level: int) -> CrossFunction:
         """Build exactly the next level; earlier levels must already exist."""
         if level != len(self.crosses):
@@ -146,22 +165,16 @@ class WovenFunction:
                 f"levels build in order: expected {len(self.crosses)}, got {level}"
             )
         self.pairing.ensure_length(level + 1)
-        pairs = self.pairing.pairs
-        x_new, y_new = pairs[level]
-        crosses = self.crosses
-        column, column_levels = self._x_screen.prescribed(x_new, crosses, pairs)
-        row, row_levels = self._y_screen.prescribed(y_new, crosses, pairs)
-        xs, ys = zip(*pairs[: level + 1])
-        cross = build_cross(level, xs, ys, column, row, self._x_axis, self._y_axis)
-        self._x_axis.place(x_new)
-        self._y_axis.place(y_new)
-        # the new row is nonzero at x_n and at the x_i of its nonzero
-        # parameters, the new column likewise along y
-        self._x_screen.add(level, cross.radius, pairs, row_levels)
-        self._y_screen.add(level, cross.radius, pairs, column_levels)
+        center = self.pairing.pairs[level]
+        # the new column meets the earlier rows, screened by x, and vice versa
+        column, row = (
+            screen.prescribed(t, self.crosses) for screen, t in zip(self._screens, center)
+        )
+        cross = build_cross(level, center, column, row, *self._axes)
+        for axis, screen, t in zip(self._axes, self._screens, center):
+            axis.place(t)
+            screen.add(cross)
         self.crosses.append(cross)
-        self.column_params.append(column)
-        self.row_params.append(row)
         return cross
 
     def build_to(self, level: int) -> None:

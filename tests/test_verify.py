@@ -113,7 +113,12 @@ class TestBasicChecks:
             x_axis.place(x)
             y_axis.place(y)
         broken.crosses[3] = build_cross(
-            3, xs, ys, tuple(column), broken.row_params[3], x_axis, y_axis
+            3,
+            (xs[-1], ys[-1]),
+            list(zip(ys, column)),
+            list(zip(xs, broken.row_params[3])),
+            x_axis,
+            y_axis,
         )
         report = check_welldefined(broken, 5, 5)
         assert not report.passed
@@ -170,7 +175,7 @@ class TestSectionContinuity:
         # within the recorded bound 3 * (1/4)
         gap = abs(woven.value(Fraction(1), Fraction(1, 2)) - woven.value(Fraction(1), Fraction(3, 4)))
         assert gap == Fraction(3, 8)
-        assert gap <= woven.lipschitz_of_level(1) * Fraction(1, 4)
+        assert gap <= woven.cross(1).lipschitz_bound * Fraction(1, 4)
 
     def test_column_sections(self, woven):
         rng = random.Random(DEFAULT_SEED)
