@@ -27,16 +27,16 @@ the other line of the cross lies at least one coordinate gap, hence at
 least 2r, from every point of this line (the center, on both lines, is the
 exception).  So a cross keeps only the nonzero anchors of each line,
 sorted, with the center on both, and one bisection over that short list
-evaluates a point.  The radius itself comes from `Axis`, the sorted
-coordinates a tower has placed on each axis: the minimum anchor separation
-is the smaller of the two axes' minimum gaps.  The linear-scan reference
-that these shortcuts are tested against lives in `verify`, which shares
-no code with this module.
+evaluates a point.  The radius is the caller's: a tower keeps it in `weave`
+as a running minimum over the coordinate gaps, and this module only checks
+that it lies in (0, 1].  The linear-scan reference that these shortcuts
+are tested against lives in `verify`, which shares no code with this
+module.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable
 
@@ -59,42 +59,6 @@ def base_value(x0: Rational, y0: Rational, point: Point) -> Rational:
     if px != x0 and py != y0:
         raise ValueError("point lies off the level-0 cross")
     return max(ZERO, ONE - max(abs(px - x0), abs(py - y0)))
-
-
-class Axis:
-    """The coordinates placed on one axis so far, sorted, and their smallest gap.
-
-    A tower places x_n and y_n after building level n, so the next level's
-    tent radius costs one bisection per axis instead of a sort of all the
-    coordinates.
-    """
-
-    def __init__(self) -> None:
-        self._coordinates: list[Rational] = []
-        self.min_gap: Rational | None = None  # None until two are placed
-
-    def __len__(self) -> int:
-        return len(self._coordinates)
-
-    def min_gap_with(self, value: Rational) -> Rational:
-        """The smallest gap between placed coordinates once `value` joins them.
-
-        Refuses a coordinate already placed; needs at least one placed.
-        """
-        coordinates = self._coordinates
-        pos = bisect_left(coordinates, value)
-        if pos < len(coordinates) and coordinates[pos] == value:
-            raise ValueError("coordinates must be pairwise distinct per axis")
-        gaps = [abs(value - c) for c in coordinates[max(pos - 1, 0) : pos + 1]]
-        if self.min_gap is not None:
-            gaps.append(self.min_gap)
-        return min(gaps)
-
-    def place(self, value: Rational) -> None:
-        """Add a new coordinate, keeping the list sorted and the gap current."""
-        if self._coordinates:
-            self.min_gap = self.min_gap_with(value)
-        insort(self._coordinates, value)
 
 
 class CrossFunction:
@@ -180,35 +144,23 @@ def build_cross(
     center: Point,
     column_anchors: Iterable[tuple[Rational, Rational]],
     row_anchors: Iterable[tuple[Rational, Rational]],
-    x_axis: Axis,
-    y_axis: Axis,
+    radius: Rational,
 ) -> CrossFunction:
     """Build the level-n interpolant centered at (x_n, y_n).
 
     `column_anchors` holds pairs (y_i, value at (x_n, y_i)) and
     `row_anchors` pairs (x_i, value at (x_i, y_n)), for earlier levels i
     and values in [0, 1); an anchor left out has value 0.  The center
-    (x_n, y_n) always gets value 1.  `x_axis` and `y_axis` hold the earlier
-    coordinates x_0..x_{n-1} and y_0..y_{n-1}; they are read, not changed,
-    and the caller places x_n and y_n once the level is built.
+    (x_n, y_n) always gets value 1.
 
-    The tent radius is min(1, half the minimum pairwise anchor distance).
-    Two anchors on one line are a coordinate gap apart, and anchors on
-    different lines, other than the center, are max(|x_n - x_j|,
-    |y_n - y_i|) apart, which is no less than a gap.  So the minimum is the
-    smaller of the two axes' minimum gaps once x_n and y_n join them.  The
+    `radius` is the tent radius, in (0, 1]: it must be at most half the
+    minimum pairwise anchor distance, which the caller knows from the
+    coordinates it has placed (`weave` keeps it as a running minimum).  The
     recorded Lipschitz bound is 1 + 1/radius (1 for the bare hat at level 0).
     """
-    if len(x_axis) != level or len(y_axis) != level:
-        raise ValueError("axes must hold exactly the earlier levels' coordinates")
-    center_x, center_y = center
-    if level == 0:
-        radius = ONE
-        lipschitz = ONE
-    else:
-        separation = min(x_axis.min_gap_with(center_x), y_axis.min_gap_with(center_y))
-        radius = min(ONE, separation / 2)
-        lipschitz = ONE + ONE / radius
-    row_line = _nonzero_line(row_anchors, center_x)
-    column_line = _nonzero_line(column_anchors, center_y)
+    if not (ZERO < radius <= ONE):
+        raise ValueError("the tent radius must lie in (0, 1]")
+    lipschitz = ONE if level == 0 else ONE + ONE / radius
+    row_line = _nonzero_line(row_anchors, center[0])
+    column_line = _nonzero_line(column_anchors, center[1])
     return CrossFunction(level, center, radius, lipschitz, (row_line, column_line))

@@ -258,14 +258,19 @@ def check_welldefined(woven: WovenFunction, columns: int = 128, rows: int = 128)
 
 
 def check_parameter_range(woven: WovenFunction, levels: int = 256) -> Report:
-    """Every prescribed value of the derived tables must lie in [0, 1) exactly."""
+    """Every prescribed value of the derived tables must lie in [0, 1) exactly.
+
+    Level 0 has no parameters, so a check that examined no value fails.
+    """
     woven.build_to(levels - 1)
     failures = []
+    values = 0
     for k in range(levels):
         for table_name, table in (
             ("column", woven.column_params[k]),
             ("row", woven.row_params[k]),
         ):
+            values += len(table)
             for i, value in enumerate(table):
                 if not (ZERO <= value < ONE):
                     failures.append(
@@ -273,8 +278,8 @@ def check_parameter_range(woven: WovenFunction, levels: int = 256) -> Report:
                     )
     return Report(
         name="parameter_range",
-        passed=not failures,
-        bounds={"levels": levels},
+        passed=values > 0 and not failures,
+        bounds={"levels": levels, "values": values},
         witnesses=failures[:5],
     )
 

@@ -17,18 +17,25 @@ independent of the route: evaluating through the level n with y_n = y gives
 the identical rational, and each vertical or horizontal section of the
 global function is a single F_m restricted to a line, hence continuous.
 
-Almost all of the parameters are 0, and a screen per axis (`Screen`) finds
-the rest without evaluating them.  Level i's value at a point of one of its
+The tent radius is a running minimum: r_0 = 1 is the reach of the level-0
+hat, and r_n = min(r_{n-1}, g_n / 2), where g_n is the smaller of the
+distances from x_n to the nearest earlier x and from y_n to the nearest
+earlier y.  Two anchors of one line are a coordinate gap apart, and anchors
+on different lines, other than the center, are max(|x_n - x_j|, |y_n - y_i|)
+apart, no less than a gap; so r_n is min(1, half the minimum anchor
+separation), small enough to keep the level's tents disjoint.
+
+Almost all of the parameters are 0, and a screen per axis (`Screen`), the
+axis's one index of its coordinates, finds the rest without evaluating them
+and measures g_n in the same pass.  Level i's value at a point of one of its
 lines is nonzero exactly when a nonzero anchor of that line lies within the
-radius r_i of the point.  The radius never grows from level to level:
-r_0 = 1 is the reach of the level-0 hat, and r_n = min(1, half the running
-minimum coordinate gap) after it.  So at distance d from an anchor a, the
-levels that reach the point are a prefix of the increasing levels with a
-nonzero anchor at a, those with r_i > d, and every one of them is nonzero.
-Building a level then evaluates each of its nonzero parameters once, by one
-bisection over the few nonzero anchors of an earlier line, plus a bisection
-per radius scale and axis for the screen and one per axis for the tent
-radius.  The new cross stores those anchors, and nothing else records the
+radius r_i of the point.  Since the radius never grows, at distance d from
+an anchor a the levels that reach the point are a prefix of the increasing
+levels with a nonzero anchor at a, those with r_i > d, and every one of
+them is nonzero.  Building a level then evaluates each of its nonzero
+parameters once, by one bisection over the few nonzero anchors of an
+earlier line, plus one bisection per radius scale and axis for the screen.
+The new cross stores those anchors, and nothing else records the
 parameters: `column_params` and `row_params` fill in the zeros on demand,
 so memory grows with the levels plus the nonzero parameters.  The
 prescribed values always land in [0, 1): the point (x_k, y_i) is never an
@@ -42,21 +49,22 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import islice
 
-from .cross_extension import ZERO, Axis, CrossFunction, build_cross
+from .cross_extension import ONE, ZERO, CrossFunction, build_cross
 from .pairing import Pairing
 from .rationals import Rational
 
 
 class Screen:
-    """The earlier levels whose line along one axis is nonzero at a coordinate.
+    """The coordinates a tower has placed on one axis, and the earlier levels
+    whose line along that axis is nonzero at a coordinate.
 
-    Axis 0 screens the levels' rows, whose anchors sit at x-coordinates;
-    axis 1 screens their columns.  Each anchor coordinate a maps to the
-    increasing levels with a nonzero anchor at a on that line.  The first
-    is the level whose center is a, and it has the largest radius of them,
-    since radii never grow.  The coordinates are grouped by
-    k = floor(log2(1/r)) of their first level's radius r, each group
-    sorted, so only the coordinates within 2^-k of a query can reach it.
+    The screen of axis 0 covers the levels' rows, whose anchors sit at
+    x-coordinates; that of axis 1 covers their columns.  Each anchor
+    coordinate a maps to the increasing levels with a nonzero anchor at a on
+    that line.  The first is the level whose center is a, and it has the
+    largest radius of them, since radii never grow.  The coordinates are
+    grouped by k = floor(log2(1/r)) of their first level's radius r, each
+    group sorted; these groups are the axis's only list of its coordinates.
     """
 
     def __init__(self, axis: int) -> None:
@@ -66,18 +74,33 @@ class Screen:
 
     def prescribed(
         self, t: Rational, crosses: list[CrossFunction]
-    ) -> list[tuple[Rational, Rational]]:
+    ) -> tuple[list[tuple[Rational, Rational]], Rational | None]:
         """The earlier levels' nonzero values on their lines at coordinate t,
         each with its level's other center coordinate, where it anchors the
-        new level's crossing line; no other level is evaluated."""
+        new level's crossing line, and the nearest distance from t to a
+        coordinate seen (None if none was).
+
+        Group k, whose coordinates' first levels have radii r_a in
+        (2^-(k+1), 2^-k], is scanned within 2^(1-k) of t.  That window holds
+        every point a level of the group reaches, within r_a of a.  Since
+        radii never grow, it also holds every coordinate closer to t than
+        2 r_{n-1} <= 2 r_a, the only ones that can lower the new radius
+        min(r_{n-1}, g_n / 2); so the nearest distance returned is g_n
+        whenever g_n / 2 < r_{n-1}.  A coordinate at distance 0 is refused.
+        """
         anchors = []
-        for width, coordinates in self._groups.values():
-            pos = bisect_left(coordinates, t - width)
+        nearest = None
+        for reach, coordinates in self._groups.values():
+            pos = bisect_left(coordinates, t - reach)
             for a in islice(coordinates, pos, None):
                 d = a - t
-                if d >= width:
+                if d >= reach:
                     break
                 d = abs(d)
+                if not d:
+                    raise ValueError("coordinates must be pairwise distinct per axis")
+                if nearest is None or d < nearest:
+                    nearest = d
                 for level in self._levels[a]:
                     cross = crosses[level]
                     if d >= cross.radius:
@@ -85,7 +108,7 @@ class Screen:
                     s = (cross.column_x, cross.row_y)[1 - self.axis]
                     point = (t, s) if self.axis == 0 else (s, t)
                     anchors.append((s, cross.value_at(point)))
-        return anchors
+        return anchors, nearest
 
     def add(self, cross: CrossFunction) -> None:
         """Record the new level's line on this axis: its center, first seen
@@ -96,7 +119,7 @@ class Screen:
         # floor(log2(1/r)) equals floor(log2(floor(1/r))), as 1/r >= 1
         k = (cross.radius.denominator // cross.radius.numerator).bit_length() - 1
         if k not in self._groups:
-            self._groups[k] = (Fraction(1, 1 << k), [])
+            self._groups[k] = (Fraction(2, 1 << k), [])
         insort(self._groups[k][1], center)
         for a in coordinates:
             self._levels[a].append(cross.level)
@@ -144,9 +167,8 @@ class WovenFunction:
         self.crosses: list[CrossFunction] = []
         self.column_params = ParameterTable(self.crosses, self.pairing, 1)
         self.row_params = ParameterTable(self.crosses, self.pairing, 0)
-        # per axis, 0 for x and 1 for y: the built levels' sorted
-        # coordinates, and the screen of their rows (by x) or columns (by y)
-        self._axes = (Axis(), Axis())
+        # per axis, 0 for x and 1 for y: the screen of the built levels'
+        # rows (by x) or columns (by y)
         self._screens = (Screen(0), Screen(1))
 
     @property
@@ -167,12 +189,16 @@ class WovenFunction:
         self.pairing.ensure_length(level + 1)
         center = self.pairing.pairs[level]
         # the new column meets the earlier rows, screened by x, and vice versa
-        column, row = (
+        (column, x_gap), (row, y_gap) = (
             screen.prescribed(t, self.crosses) for screen, t in zip(self._screens, center)
         )
-        cross = build_cross(level, center, column, row, *self._axes)
-        for axis, screen, t in zip(self._axes, self._screens, center):
-            axis.place(t)
+        # the running minimum r_n = min(r_{n-1}, g_n / 2), from r_0 = 1
+        radius = self.crosses[-1].radius if self.crosses else ONE
+        for gap in (x_gap, y_gap):
+            if gap is not None:
+                radius = min(radius, gap / 2)
+        cross = build_cross(level, center, column, row, radius)
+        for screen in self._screens:
             screen.add(cross)
         self.crosses.append(cross)
         return cross

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crossweave.cli as cli
 import crossweave.verify as verify
 from crossweave.pairing import Pairing, Refusal
-from crossweave.verify import MAX_ORACLE_LEVEL, Report
+from crossweave.verify import MAX_ORACLE_LEVEL, SUITE_NAMES, Report
 from crossweave.weave import WovenFunction
 
 
@@ -183,6 +188,12 @@ class TestVerify:
         assert "PASS parameter_range  levels=64" in out
         assert "1/1 checks passed" in out
 
+    def test_range_suite_that_examined_no_value_fails(self, capsys):
+        """Level 0 has no parameters, so depth 1 examines none."""
+        code, out, _ = run(capsys, "verify", "--suite", "range", "--depth", "1")
+        assert code == 1
+        assert "FAIL parameter_range  levels=1  values=0" in out
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "density", "--format", "json"
@@ -231,3 +242,73 @@ class TestVerify:
             cli.main(["verify", "--suite", "lipschitz", "--depth", "2"])
         assert type(excinfo.value) is ValueError
         assert "refused" not in capsys.readouterr().err
+
+
+def optional(flag, values):
+    """Either nothing or `flag` followed by one drawn value."""
+    return st.one_of(st.just([]), values.map(lambda value: [flag, value]))
+
+
+def required(flag, values):
+    return values.map(lambda value: [flag, value])
+
+
+def command(name, *parts):
+    return st.tuples(*parts).map(lambda drawn: [name, *chain.from_iterable(drawn)])
+
+
+def numbers(low, high):
+    return st.integers(min_value=low, max_value=high).map(str)
+
+
+rational_text = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=16).map(str),
+    st.text(alphabet="0123456789-+/. x", max_size=6),
+)
+argv = st.one_of(
+    command(
+        "eval",
+        required("--x", rational_text),
+        required("--y", rational_text),
+        required("--max-level", numbers(-2, 64)),
+        st.sampled_from([[], ["--decimal"]]),
+    ),
+    command(
+        "grid",
+        optional("--denominator", numbers(-1, 8)),
+        *(
+            optional(flag, rational_text)
+            for flag in ("--x-min", "--x-max", "--y-min", "--y-max")
+        ),
+        required("--max-cells", numbers(-1, 256)),
+        required("--max-level", numbers(-2, 64)),
+    ),
+    command(
+        "pairs",
+        optional("--count", numbers(-3, 64)),
+        st.sampled_from([[], ["--json"]]),
+    ),
+    command(
+        "verify",
+        required("--suite", st.sampled_from([s for s in SUITE_NAMES if s != "all"])),
+        required("--depth", numbers(-2, 8)),
+        optional("--format", st.sampled_from(["text", "json", "yaml"])),
+    ),
+)
+
+
+@given(argv)
+@settings(max_examples=60, deadline=None)
+def test_any_argv_exits_cleanly(argv):
+    """Every argument list ends in exit 0, 1 or 2, never in a traceback, and
+    exit 2 always says why on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit:
+            code = exit.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue()

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossweave.cross_extension import Axis, base_value, build_cross
+from crossweave.cross_extension import base_value, build_cross
+from crossweave.pairing import Pairing
 from crossweave.verify import brute_force_radius, cross_anchors, linear_scan_value
+from crossweave.weave import WovenFunction
 
 ONE = Fraction(1)
 ORIGIN = (Fraction(0), Fraction(0))
@@ -28,14 +30,20 @@ unit_interval_open = st.fractions(
 
 
 def build(level, xs, ys, column_params, row_params):
-    """build_cross with axes holding the earlier coordinates, as a tower keeps them."""
-    x_axis, y_axis = Axis(), Axis()
-    for x in xs[:-1]:
-        x_axis.place(x)
-    for y in ys[:-1]:
-        y_axis.place(y)
+    """build_cross with the brute-force radius of the cross's anchors."""
     column, row = list(zip(ys, column_params)), list(zip(xs, row_params))
-    return build_cross(level, (xs[-1], ys[-1]), column, row, x_axis, y_axis)
+    radius = brute_force_radius(cross_anchors(xs, ys))
+    return build_cross(level, (xs[-1], ys[-1]), column, row, radius)
+
+
+def tower_on(xs, ys):
+    """A tower whose pairing is filled in place with the pairs (xs[n], ys[n])."""
+    pairing = Pairing()
+    for n, (x, y) in enumerate(zip(xs, ys)):
+        pairing.pairs.append((x, y))
+        pairing.level_of_x[x] = n
+        pairing.level_of_y[y] = n
+    return WovenFunction(pairing)
 
 
 def reference_data(level, xs, ys, column_params, row_params):
@@ -62,6 +70,16 @@ def cross_instances(draw):
     )
     row = tuple(draw(st.lists(unit_interval_open, min_size=level, max_size=level)))
     return level, xs, ys, column, row
+
+
+@st.composite
+def tower_coordinates(draw):
+    """Pairwise distinct x- and y-coordinates for a tower of 1 to 10 levels."""
+    levels = draw(st.integers(min_value=1, max_value=10))
+    return tuple(
+        draw(st.lists(coordinate, min_size=levels, max_size=levels, unique=True))
+        for _ in range(2)
+    )
 
 
 class TestReferenceOps:
@@ -209,14 +227,14 @@ class TestWorkedLevelOne:
 
 class TestBuildValidation:
     def test_rejects_repeated_coordinates(self):
-        with pytest.raises(ValueError):
-            build(
-                1,
-                (Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(1)),
-                (Fraction(0),),
-                (Fraction(0),),
-            )
+        """A repeated coordinate on either axis leaves the tents no room."""
+        distinct = (Fraction(0), Fraction(1), Fraction(1, 3))
+        repeated = (Fraction(0), Fraction(1), Fraction(1))
+        for xs, ys in ((repeated, distinct), (distinct, repeated)):
+            tower = tower_on(xs, ys)
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                tower.build_to(2)
+            assert tower.built_levels == 2
 
     def test_rejects_parameter_at_one(self):
         with pytest.raises(ValueError):
@@ -238,11 +256,16 @@ class TestBuildValidation:
                 (Fraction(-1, 2),),
             )
 
-    def test_rejects_axes_without_the_earlier_coordinates(self):
+    @pytest.mark.parametrize(
+        "radius",
+        [Fraction(0), Fraction(-1, 2), Fraction(9, 8)],
+        ids=["zero", "negative", "above-one"],
+    )
+    def test_rejects_radius_outside_the_unit_interval(self, radius):
         center = (Fraction(1), Fraction(1))
         zero = [(Fraction(0), Fraction(0))]
         with pytest.raises(ValueError):
-            build_cross(1, center, zero, zero, Axis(), Axis())
+            build_cross(1, center, zero, zero, radius)
 
 
 class TestCrossProperties:
@@ -258,13 +281,25 @@ class TestCrossProperties:
             assert cross.value_at(point) == value
             assert linear_scan_value(point, anchors, values, radius) == value
 
-    @given(cross_instances())
+    @given(tower_coordinates())
     @settings(max_examples=60, deadline=None)
-    def test_radius_matches_brute_force(self, instance):
-        """The axis-gap radius equals half the brute-force separation, capped."""
-        cross = build(*instance)
-        anchors, _ = reference_data(*instance)
-        assert cross.radius == brute_force_radius(anchors)
+    def test_radius_matches_brute_force(self, coordinates):
+        """On arbitrary distinct coordinates, a tower's running-minimum radius
+        equals the brute-force radius of every level's anchors, and its
+        tables equal the earlier levels' values."""
+        xs, ys = coordinates
+        tower = tower_on(xs, ys)
+        tower.build_to(len(xs) - 1)
+        crosses = tower.crosses
+        for n, cross in enumerate(crosses):
+            anchors = cross_anchors(xs[: n + 1], ys[: n + 1])
+            assert cross.radius == brute_force_radius(anchors)
+            assert tower.column_params[n] == tuple(
+                crosses[i].value_at((xs[n], ys[i])) for i in range(n)
+            )
+            assert tower.row_params[n] == tuple(
+                crosses[i].value_at((xs[i], ys[n])) for i in range(n)
+            )
 
     @given(cross_instances(), coordinate, coordinate)
     @settings(max_examples=80, deadline=None)

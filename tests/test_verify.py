@@ -8,18 +8,20 @@ from fractions import Fraction
 
 import pytest
 
-from crossweave.cross_extension import Axis, build_cross
+from crossweave.cross_extension import build_cross
 from crossweave.verify import (
     DEFAULT_SEED,
     MAX_ORACLE_LEVEL,
     Refusal,
     Report,
+    brute_force_radius,
     check_image_density,
     check_oracle_equivalence,
     check_parameter_range,
     check_sections,
     check_singleton_image,
     check_welldefined,
+    cross_anchors,
     image_density_search,
     nonfeeble_witness,
     oracle_eval,
@@ -108,17 +110,12 @@ class TestBasicChecks:
         column = list(broken.column_params[3])
         column[0] += Fraction(1, 8)
         assert 0 <= column[0] < 1
-        x_axis, y_axis = Axis(), Axis()
-        for x, y in zip(xs[:-1], ys[:-1]):
-            x_axis.place(x)
-            y_axis.place(y)
         broken.crosses[3] = build_cross(
             3,
             (xs[-1], ys[-1]),
             list(zip(ys, column)),
             list(zip(xs, broken.row_params[3])),
-            x_axis,
-            y_axis,
+            brute_force_radius(cross_anchors(xs, ys)),
         )
         report = check_welldefined(broken, 5, 5)
         assert not report.passed
