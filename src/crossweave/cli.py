@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth",
         type=int,
         default=None,
-        help="override the suite's canonical scale (single suite only)",
+        help="override the suite's canonical scale; refused with --suite all",
     )
     cmd_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cmd_verify.add_argument("--format", choices=("text", "json"), default="text")

@@ -12,14 +12,22 @@ least-enumeration-index tie-breaking everywhere, so the sequence is a pure
 function of its length.  Task 2 walks a canonical enumeration of open boxes
 with rational corners (a countable base of the plane's topology), which is
 what makes the sequence dense.
+
+Every scan walks enumeration indices and tests a candidate in integers: the
+numerator and denominator of e(i) against a box side by cross-multiplying,
+and "unused" against a set of indices.  That set stays small because each
+axis keeps a scan start below which every index is already used (see
+`Pairing`).  A `Fraction` is built only for the value a scan picks and for
+the corners of the boxes it yields.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
-from .rationals import Rational, enumerate_rational, index_of
+from .rationals import Rational, enumerate_rational, enumerate_terms, index_of
 
 Point = tuple[Rational, Rational]
 
@@ -49,19 +57,42 @@ class Box:
         return self.x_lo < x < self.x_hi and self.y_lo < y < self.y_hi
 
 
-def _index_tuples() -> Iterator[tuple[int, int, int, int]]:
-    """All 4-tuples of enumeration indices, by increasing sum, ties lexicographic."""
+def _precedes(i: int, j: int) -> bool:
+    """e(i) < e(j), by cross-multiplying their terms (denominators are positive)."""
+    i_num, i_den = enumerate_terms(i)
+    j_num, j_den = enumerate_terms(j)
+    return i_num * j_den < j_num * i_den
+
+
+def _open_boxes() -> Iterator[Box]:
+    """The boxes (e(i), e(j)) x (e(k), e(l)) with both sides nonempty, in the
+    order of their 4-tuples: by increasing i + j + k + l, ties lexicographic.
+
+    The x side is tested once per (i, j); when it is empty, every (k, l)
+    that would complete it is skipped untested.
+    """
     total = 0
     while True:
         for i in range(total + 1):
             for j in range(total + 1 - i):
+                if not _precedes(i, j):
+                    continue
                 for k in range(total + 1 - i - j):
-                    yield i, j, k, total - i - j - k
+                    l = total - i - j - k
+                    if _precedes(k, l):
+                        yield Box(
+                            enumerate_rational(i),
+                            enumerate_rational(j),
+                            enumerate_rational(k),
+                            enumerate_rational(l),
+                        )
         total += 1
 
 
+# the box stream is shared by the whole process; `_box_lock` serialises its growth
 _box_cache: list[Box] = []
-_box_source = _index_tuples()
+_box_source = _open_boxes()
+_box_lock = threading.Lock()
 
 
 def enumerate_box(ordinal: int) -> Box:
@@ -69,19 +100,17 @@ def enumerate_box(ordinal: int) -> Box:
 
     A 4-tuple (i, j, k, l) of enumeration indices denotes the candidate box
     (e(i), e(j)) x (e(k), e(l)); tuples whose intervals come out empty are
-    skipped, and the survivors are numbered in order.
+    skipped, and the survivors are numbered in order.  Safe to call from
+    several threads: the cache grows under a lock, in enumeration order.
 
     >>> enumerate_box(0)
     Box(x_lo=Fraction(0, 1), x_hi=Fraction(1, 1), y_lo=Fraction(0, 1), y_hi=Fraction(1, 1))
     """
     if ordinal < 0:
         raise ValueError("box ordinal must be nonnegative")
-    while len(_box_cache) <= ordinal:
-        i, j, k, l = next(_box_source)
-        x_lo, x_hi = enumerate_rational(i), enumerate_rational(j)
-        y_lo, y_hi = enumerate_rational(k), enumerate_rational(l)
-        if x_lo < x_hi and y_lo < y_hi:
-            _box_cache.append(Box(x_lo, x_hi, y_lo, y_hi))
+    with _box_lock:
+        while len(_box_cache) <= ordinal:
+            _box_cache.append(next(_box_source))
     return _box_cache[ordinal]
 
 
@@ -99,6 +128,11 @@ class Pairing:
 
     Because tasks 0 and 1 consume the least unused index outright, every
     index below an axis's scan start is already used; scans may start there.
+    An index at or above the start is used only if a bounded pick (task 2)
+    took it, so each axis keeps just those indices in a small set, and an
+    index leaves the set once the scan start moves past it.  "Unused" is
+    then "at or above the start and not in the set".  `level_of_x` and
+    `level_of_y` remain the only map from a coordinate to its level.
     """
 
     def __init__(self) -> None:
@@ -106,9 +140,11 @@ class Pairing:
         self.level_of_x: dict[Rational, int] = {}
         self.level_of_y: dict[Rational, int] = {}
         self.box_witness: list[int] = []  # box ordinal -> level of its witness pair
-        # per axis, 0 for x and 1 for y: its level index and its scan start
+        # per axis, 0 for x and 1 for y: its level index, its scan start,
+        # and the indices at or above the start that bounded picks took
         self._level_of = (self.level_of_x, self.level_of_y)
         self._next = [0, 0]
+        self._ahead: tuple[set[int], set[int]] = (set(), set())
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -126,19 +162,25 @@ class Pairing:
     ) -> Rational:
         """The least-index rational unused on `axis`, strictly inside (lo, hi) if given.
 
-        Only an unbounded pick is consumed outright and moves the scan start.
+        Only an unbounded pick is consumed outright and moves the scan start;
+        a bounded pick is recorded in the axis's set of indices ahead of it.
         """
-        used = self._level_of[axis]
+        ahead = self._ahead[axis]
         index = self._next[axis]
         if lo is None:
-            while enumerate_rational(index) in used:
+            while index in ahead:
+                ahead.remove(index)
                 index += 1
             self._next[axis] = index + 1
             return enumerate_rational(index)
+        lo_num, lo_den = lo.numerator, lo.denominator
+        hi_num, hi_den = hi.numerator, hi.denominator
         while True:
-            value = enumerate_rational(index)
-            if lo < value < hi and value not in used:
-                return value
+            if index not in ahead:
+                num, den = enumerate_terms(index)
+                if lo_num * den < num * lo_den and num * hi_den < hi_num * den:
+                    ahead.add(index)
+                    return enumerate_rational(index)
             index += 1
 
     def extend(self, steps: int) -> None:

@@ -127,6 +127,25 @@ def enumerate_rational(index: int) -> Fraction:
     return -_tree_value(half)
 
 
+def enumerate_terms(index: int) -> tuple[int, int]:
+    """`enumerate_rational(index)` as (numerator, denominator), building no Fraction.
+
+    The terms come from the same tree cache, in lowest terms with a positive
+    denominator, so two enumerated values compare by cross-multiplying.
+
+    >>> [enumerate_terms(i) for i in range(6)]
+    [(0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (2, 1)]
+    """
+    if index < 0:
+        raise ValueError("enumeration index must be nonnegative")
+    if index == 0:
+        return 0, 1
+    if index & 1:
+        return _tree_value((index >> 1) + 1).as_integer_ratio()
+    numerator, denominator = _tree_value(index >> 1).as_integer_ratio()
+    return -numerator, denominator
+
+
 def index_of(value: Fraction) -> int:
     """Position of `value` in the enumeration; exact inverse of `enumerate_rational`.
 

@@ -563,13 +563,15 @@ def run_suite(
 ) -> list[Report]:
     """Run one named suite, or all of them at their canonical depths.
 
-    `depth` overrides the canonical scale when a single suite is selected;
-    its meaning is suite-specific (levels, grid side, pitch, boxes, or
-    oracle level cap).  An unknown suite, a depth below 1 and an oracle
-    depth above `MAX_ORACLE_LEVEL` raise `Refusal`.
+    `depth` overrides the canonical scale of a single suite; its meaning is
+    suite-specific (levels, grid side, pitch, boxes, or oracle level cap).
+    An unknown suite, a depth given with "all", a depth below 1 and an
+    oracle depth above `MAX_ORACLE_LEVEL` raise `Refusal`.
     """
     if suite not in SUITE_NAMES:
         raise Refusal(f"unknown suite: {suite}")
+    if suite == "all" and depth is not None:
+        raise Refusal("a depth applies to a single suite, not to all")
     if depth is not None and depth < 1:
         raise Refusal(f"depth must be at least 1, got {depth}")
     woven = WovenFunction()

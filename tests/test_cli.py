@@ -212,6 +212,14 @@ class TestVerify:
         assert out == ""
         assert err.startswith("refused: ") and err.count("\n") == 1
 
+    def test_depth_with_all_suites_is_refused(self, capsys):
+        """All suites run at their canonical depths, so a depth cannot apply."""
+        code, out, err = run(capsys, "verify", "--suite", "all", "--depth", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused: ") and err.count("\n") == 1
+        assert "single suite" in err
+
     def test_depth_above_the_oracle_cap_is_refused(self, capsys):
         depth = str(MAX_ORACLE_LEVEL + 1)
         code, out, err = run(capsys, "verify", "--suite", "oracle", "--depth", depth)
@@ -290,7 +298,7 @@ argv = st.one_of(
     ),
     command(
         "verify",
-        required("--suite", st.sampled_from([s for s in SUITE_NAMES if s != "all"])),
+        required("--suite", st.sampled_from(SUITE_NAMES)),
         required("--depth", numbers(-2, 8)),
         optional("--format", st.sampled_from(["text", "json", "yaml"])),
     ),

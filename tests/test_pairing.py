@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossweave import pairing as pairing_module
 from crossweave.pairing import Box, Pairing, Refusal, enumerate_box
 from crossweave.rationals import enumerate_rational, index_of
 
@@ -22,6 +26,24 @@ EXPECTED_PREFIX = [
     (Fraction(-2), Fraction(-2)),
     (Fraction(-1, 3), Fraction(1, 3)),
 ]
+
+
+def reference_boxes(count, max_sum=22):
+    """The first `count` boxes by brute force over Fractions: every 4-tuple
+    with entries summing to at most `max_sum`, sorted by sum, ties
+    lexicographic, kept when both sides are nonempty."""
+    e = enumerate_rational
+    tuples = sorted(
+        (t for t in itertools.product(range(max_sum + 1), repeat=4) if sum(t) <= max_sum),
+        key=lambda t: (sum(t), t),
+    )
+    boxes = [
+        Box(e(i), e(j), e(k), e(l))
+        for i, j, k, l in tuples
+        if e(i) < e(j) and e(k) < e(l)
+    ]
+    assert len(boxes) >= count, "raise max_sum"
+    return boxes[:count]
 
 
 class TestBoxes:
@@ -44,6 +66,36 @@ class TestBoxes:
         assert [enumerate_box(k) for k in range(50)] == [
             enumerate_box(k) for k in range(50)
         ]
+
+    def test_boxes_match_brute_force(self):
+        assert [enumerate_box(k) for k in range(3000)] == reference_boxes(3000)
+
+    def test_concurrent_growth_keeps_the_order(self, monkeypatch):
+        """Four threads growing a fresh box stream leave it as one thread would."""
+        monkeypatch.setattr(pairing_module, "_box_cache", [])
+        monkeypatch.setattr(pairing_module, "_box_source", pairing_module._open_boxes())
+        errors = []
+
+        def grow():
+            try:
+                for k in range(3000):
+                    enumerate_box(k)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=grow) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert pairing_module._box_cache == reference_boxes(3000)
 
     def test_strictly_inside(self):
         box = enumerate_box(0)
@@ -84,6 +136,33 @@ class TestPairingConstruction:
             x, y = pairing.pairs[level]
             assert box.strictly_inside(x, y)
             assert level == 3 * ordinal + 2  # density task cadence
+
+    def test_picks_match_their_definition(self):
+        """Each pick, recomputed with Fractions from the schedule's definition:
+        the least-index value unused on its axis, strictly inside the step's
+        box side on density steps."""
+        pairing = Pairing()
+        pairing.extend(1500)
+        used = (set(), set())
+        # used only grows, so the least unused index never decreases
+        least_unused = [0, 0]
+        for step, pair in enumerate(pairing.pairs):
+            if step % 3 == 2:
+                box = enumerate_box(step // 3)
+                sides = ((box.x_lo, box.x_hi), (box.y_lo, box.y_hi))
+            else:
+                sides = (None, None)
+            for axis, side in enumerate(sides):
+                while enumerate_rational(least_unused[axis]) in used[axis]:
+                    least_unused[axis] += 1
+                index = least_unused[axis]
+                while True:
+                    value = enumerate_rational(index)
+                    if value not in used[axis] and (side is None or side[0] < value < side[1]):
+                        break
+                    index += 1
+                assert pair[axis] == value, (step, axis)
+                used[axis].add(value)
 
     def test_rebuild_is_identical(self):
         one, two = Pairing(), Pairing()
