@@ -33,7 +33,6 @@ from .verify import (
     nonfeeble_witness,
     oracle_eval,
     run_suite,
-    section_continuity_check,
 )
 from .weave import WovenFunction
 
@@ -66,6 +65,5 @@ __all__ = [
     "oracle_eval",
     "parse_rational",
     "run_suite",
-    "section_continuity_check",
     "__version__",
 ]

@@ -167,11 +167,14 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
     pairing = Pairing()
     pairing.extend(args.count)
     if args.json:
-        payload = [
-            {"n": n, "x": format_rational(x), "y": format_rational(y)}
+        # the layout of json.dumps(..., indent=2), written directly: that call
+        # takes the slow pure-Python encoder, and "p/q" text needs no escaping
+        objects = [
+            f'  {{\n    "n": {n},\n    "x": "{format_rational(x)}",\n'
+            f'    "y": "{format_rational(y)}"\n  }}'
             for n, (x, y) in enumerate(pairing.pairs)
         ]
-        print(json.dumps(payload, indent=2))
+        print("[\n" + ",\n".join(objects) + "\n]" if objects else "[]")
     else:
         for n, (x, y) in enumerate(pairing.pairs):
             print(f"{n} {format_rational(x)} {format_rational(y)}")

@@ -17,8 +17,8 @@ The checks deliberately re-derive what they test through independent routes:
   two functions.  It refuses above `MAX_ORACLE_LEVEL`.
 * `check_welldefined` compares the defining column route against the row
   route that the construction must make equivalent.
-* `section_continuity_check` certifies each section against the recorded
-  per-level Lipschitz bound.
+* `check_sections` samples both lines of each level, its column and its
+  row, against the level's recorded Lipschitz bound.
 * `nonfeeble_witness` certifies that a value interval strictly between the
   diagonal value 1 and some attained value pulls back to a set with empty
   interior at box scale K: every basic box holds a diagonal point mapping
@@ -203,7 +203,7 @@ def oracle_eval(
 
 
 def check_singleton_image(woven: WovenFunction, levels: int = 512) -> Report:
-    """Every diagonal pair must evaluate to exactly 1."""
+    """Every diagonal pair must evaluate to exactly 1; no levels is a failure."""
     woven.build_to(levels - 1)
     failures = []
     for n in range(levels):
@@ -211,25 +211,25 @@ def check_singleton_image(woven: WovenFunction, levels: int = 512) -> Report:
         value = woven.value(x, y)
         if value != ONE:
             failures.append({"level": n, "x": x, "y": y, "value": value})
-    last = levels - 1
-    witnesses = failures or [
-        {
-            "level": last,
-            "x": woven.pairing.x_coordinate(last),
-            "y": woven.pairing.y_coordinate(last),
-            "value": ONE,
-        }
-    ]
+    passed = levels > 0 and not failures
+    witnesses = failures
+    if passed:
+        last = levels - 1
+        x, y = woven.pairing.pairs[last]
+        witnesses = [{"level": last, "x": x, "y": y, "value": ONE}]
     return Report(
         name="singleton_image",
-        passed=not failures,
+        passed=passed,
         bounds={"levels": levels},
         witnesses=witnesses,
     )
 
 
 def check_welldefined(woven: WovenFunction, columns: int = 128, rows: int = 128) -> Report:
-    """Column-route and row-route evaluation must agree on the pair grid."""
+    """Column-route and row-route evaluation must agree on the pair grid.
+
+    An empty grid examined nothing, so it fails.
+    """
     woven.build_to(max(columns, rows) - 1)
     failures = []
     for m in range(columns):
@@ -251,7 +251,7 @@ def check_welldefined(woven: WovenFunction, columns: int = 128, rows: int = 128)
                 )
     return Report(
         name="well_defined",
-        passed=not failures,
+        passed=columns > 0 and rows > 0 and not failures,
         bounds={"columns": columns, "rows": rows},
         witnesses=failures[:5],
     )
@@ -320,12 +320,15 @@ def image_density_search(
 def check_image_density(
     woven: WovenFunction, pitch: int = 20, eps: Rational = Fraction(1, 40)
 ) -> Report:
-    """Sweep targets k/pitch over [0, 1]; each must be hit within eps."""
+    """Sweep targets k/pitch over [0, 1]; each must be hit within eps.
+
+    A pitch below 1 names no targets, so it fails.
+    """
     failures = []
     witnesses = []
     woven.build_to(0)
     x0 = woven.pairing.x_coordinate(0)
-    for k in range(pitch + 1):
+    for k in range(pitch + 1 if pitch > 0 else 0):
         target = Fraction(k, pitch)
         y = image_density_search(woven, target, eps)
         value = woven.value(x0, y)
@@ -336,7 +339,7 @@ def check_image_density(
             witnesses.append(entry)
     return Report(
         name="image_density",
-        passed=not failures,
+        passed=pitch > 0 and not failures,
         bounds={"pitch": pitch, "eps": eps},
         witnesses=failures[:5] or witnesses,
     )
@@ -393,91 +396,72 @@ def nonfeeble_witness(
     )
 
 
-def section_continuity_check(
-    woven: WovenFunction,
-    kind: str,
-    level: int,
-    samples: int,
-    rng: random.Random,
-) -> Report:
-    """Random point pairs on one section must respect the level's Lipschitz bound.
-
-    A column section is the definition's own route, so it is sampled through
-    the public evaluator.  A row section is sampled through the level's
-    interpolant after spot checks that the public evaluator agrees with it
-    on built columns (the compatibility that makes the section continuous).
-    """
-    if kind not in ("column", "row"):
-        raise ValueError("kind must be 'column' or 'row'")
-    woven.build_to(level)
-    cross = woven.cross(level)
-    bound = cross.lipschitz_bound
-    failures = []
-
-    if kind == "column":
-        x = woven.pairing.x_coordinate(level)
-        for _ in range(samples):
-            y_a, y_b = random_rational(rng), random_rational(rng)
-            value_a = woven.value(x, y_a)
-            value_b = woven.value(x, y_b)
-            if abs(value_a - value_b) > bound * abs(y_a - y_b):
-                failures.append(
-                    {"x": x, "y_a": y_a, "y_b": y_b, "value_a": value_a, "value_b": value_b}
-                )
-    else:
-        y = woven.pairing.y_coordinate(level)
-        built = woven.built_levels
-        for m in rng.sample(range(built), min(5, built)):
-            x_m = woven.pairing.x_coordinate(m)
-            via_public = woven.value(x_m, y)
-            via_cross = cross.value_at((x_m, y))
-            if via_public != via_cross:
-                failures.append(
-                    {
-                        "spot_level": m,
-                        "x": x_m,
-                        "y": y,
-                        "public": via_public,
-                        "cross": via_cross,
-                    }
-                )
-        for _ in range(samples):
-            x_a, x_b = random_rational(rng), random_rational(rng)
-            value_a = cross.value_at((x_a, y))
-            value_b = cross.value_at((x_b, y))
-            if abs(value_a - value_b) > bound * abs(x_a - x_b):
-                failures.append(
-                    {"y": y, "x_a": x_a, "x_b": x_b, "value_a": value_a, "value_b": value_b}
-                )
-    return Report(
-        name=f"section_lipschitz_{kind}",
-        passed=not failures,
-        bounds={"level": level, "samples": samples, "lipschitz": bound},
-        witnesses=failures[:5],
-    )
-
-
 def check_sections(
     woven: WovenFunction,
     levels: int = 64,
     samples_per_kind: int = 500,
     seed: int = DEFAULT_SEED,
 ) -> Report:
-    """Run both section checks for every level below `levels`."""
+    """Random point pairs on both lines of every level below `levels` must
+    respect the level's recorded Lipschitz bound.
+
+    Each line is its level's cross restricted to it, and is sampled there.
+    The column is the definition's own route; before the row is sampled,
+    spot checks that the public evaluator agrees with the cross on up to
+    five built columns (the compatibility that makes the row a section of
+    the global function).  A check that sampled no line fails.
+    """
     rng = random.Random(seed)
     failures = []
     worst_bound = ONE
     for level in range(levels):
-        for kind in ("column", "row"):
-            report = section_continuity_check(woven, kind, level, samples_per_kind, rng)
-            worst_bound = max(worst_bound, report.bounds["lipschitz"])
-            if not report.passed:
-                failures.extend(
-                    {**w, "level": level, "kind": kind} for w in report.witnesses
+        woven.build_to(level)
+        cross = woven.cross(level)
+        bound = cross.lipschitz_bound
+        worst_bound = max(worst_bound, bound)
+        for axis, kind in enumerate(("column", "row")):
+            fixed = woven.pairing.pairs[level][axis]
+            if kind == "row":
+                built = woven.built_levels
+                for m in rng.sample(range(built), min(5, built)):
+                    x_m = woven.pairing.x_coordinate(m)
+                    via_public = woven.value(x_m, fixed)
+                    via_cross = cross.value_at((x_m, fixed))
+                    if via_public != via_cross:
+                        failures.append(
+                            {
+                                "spot_level": m,
+                                "x": x_m,
+                                "y": fixed,
+                                "public": via_public,
+                                "cross": via_cross,
+                                "level": level,
+                                "kind": kind,
+                            }
+                        )
+            # a witness names the fixed coordinate and the two free ones
+            fixed_name, free_name = ("x", "y") if axis == 0 else ("y", "x")
+            for _ in range(samples_per_kind):
+                t_a, t_b = random_rational(rng), random_rational(rng)
+                value_a, value_b = (
+                    cross.value_at((fixed, t) if axis == 0 else (t, fixed))
+                    for t in (t_a, t_b)
                 )
+                if abs(value_a - value_b) > bound * abs(t_a - t_b):
+                    failures.append(
+                        {
+                            fixed_name: fixed,
+                            f"{free_name}_a": t_a,
+                            f"{free_name}_b": t_b,
+                            "value_a": value_a,
+                            "value_b": value_b,
+                            "level": level,
+                            "kind": kind,
+                        }
+                    )
     return Report(
         name="section_lipschitz",
-        passed=not failures,
+        passed=levels > 0 and samples_per_kind > 0 and not failures,
         bounds={
             "levels": levels,
             "samples_per_kind": samples_per_kind,
@@ -499,7 +483,7 @@ def check_oracle_equivalence(
     Samples are column points (x_m, q) with the level m uniform over
     0..max_level and q a random small rational.  All samples share one
     oracle memo, created here, so the oracle derives each level once per
-    check and holds nothing between checks.
+    check and holds nothing between checks.  No samples is a failure.
     """
     if max_level > MAX_ORACLE_LEVEL:
         raise Refusal(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
@@ -517,7 +501,7 @@ def check_oracle_equivalence(
             failures.append({"level": level, "x": x, "y": y, "fast": fast, "oracle": slow})
     return Report(
         name="oracle_equivalence",
-        passed=not failures,
+        passed=samples > 0 and not failures,
         bounds={"max_level": max_level, "samples": samples, "seed": seed},
         witnesses=failures[:5],
     )
@@ -525,37 +509,33 @@ def check_oracle_equivalence(
 
 # -- suite driver ------------------------------------------------------------
 
-SUITE_DEFAULT_DEPTH = {
-    "singleton": 512,
-    "range": 512,
-    "welldef": 128,
-    "density": 20,
-    "witness": 50,
-    "lipschitz": 64,
-    "oracle": 64,
+# suite name -> (canonical depth, the check at a depth and seed); each check
+# is looked up by its module name when it runs, so a wrapped or replaced
+# check takes effect
+SUITES = {
+    "singleton": (512, lambda woven, depth, seed: check_singleton_image(woven, depth)),
+    "range": (512, lambda woven, depth, seed: check_parameter_range(woven, depth)),
+    "welldef": (128, lambda woven, depth, seed: check_welldefined(woven, depth, depth)),
+    "density": (
+        20,
+        lambda woven, depth, seed: check_image_density(
+            woven, pitch=depth, eps=Fraction(1, 2 * depth)
+        ),
+    ),
+    "witness": (50, lambda woven, depth, seed: nonfeeble_witness(woven, boxes=depth)),
+    "lipschitz": (
+        64,
+        lambda woven, depth, seed: check_sections(woven, levels=depth, seed=seed),
+    ),
+    "oracle": (
+        64,
+        lambda woven, depth, seed: check_oracle_equivalence(
+            woven, max_level=depth, seed=seed
+        ),
+    ),
 }
 
-SUITE_NAMES = ("all", *SUITE_DEFAULT_DEPTH)
-
-
-def _run_one(
-    woven: WovenFunction, suite: str, depth: int, seed: int
-) -> Report:
-    if suite == "singleton":
-        return check_singleton_image(woven, depth)
-    if suite == "range":
-        return check_parameter_range(woven, depth)
-    if suite == "welldef":
-        return check_welldefined(woven, depth, depth)
-    if suite == "density":
-        return check_image_density(woven, pitch=depth, eps=Fraction(1, 2 * depth))
-    if suite == "witness":
-        return nonfeeble_witness(woven, boxes=depth)
-    if suite == "lipschitz":
-        return check_sections(woven, levels=depth, seed=seed)
-    if suite == "oracle":
-        return check_oracle_equivalence(woven, max_level=depth, seed=seed)
-    raise ValueError(f"unknown suite: {suite}")
+SUITE_NAMES = ("all", *SUITES)
 
 
 def run_suite(
@@ -575,11 +555,8 @@ def run_suite(
     if depth is not None and depth < 1:
         raise Refusal(f"depth must be at least 1, got {depth}")
     woven = WovenFunction()
-    if suite == "all":
-        return [
-            _run_one(woven, name, SUITE_DEFAULT_DEPTH[name], seed)
-            for name in SUITE_DEFAULT_DEPTH
-        ]
-    if depth is None:
-        depth = SUITE_DEFAULT_DEPTH[suite]
-    return [_run_one(woven, suite, depth, seed)]
+    selected = SUITES if suite == "all" else {suite: SUITES[suite]}
+    return [
+        check(woven, canonical if depth is None else depth, seed)
+        for canonical, check in selected.values()
+    ]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import crossweave.cli as cli
 import crossweave.verify as verify
 from crossweave.pairing import Pairing, Refusal
+from crossweave.rationals import format_rational
 from crossweave.verify import MAX_ORACLE_LEVEL, SUITE_NAMES, Report
 from crossweave.weave import WovenFunction
 
@@ -164,6 +165,18 @@ class TestPairs:
             {"n": 1, "x": "1/1", "y": "1/1"},
             {"n": 2, "x": "1/2", "y": "1/2"},
         ]
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 300])
+    def test_json_layout_is_the_indented_encoder(self, capsys, count):
+        code, out, _ = run(capsys, "pairs", "--count", str(count), "--json")
+        assert code == 0
+        pairing = Pairing()
+        pairing.extend(count)
+        payload = [
+            {"n": n, "x": format_rational(x), "y": format_rational(y)}
+            for n, (x, y) in enumerate(pairing.pairs)
+        ]
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_negative_count_is_refused(self, capsys):
         code, _, err = run(capsys, "pairs", "--count", "-1")

@@ -10,7 +10,6 @@ import pytest
 
 from crossweave.cross_extension import build_cross
 from crossweave.verify import (
-    DEFAULT_SEED,
     MAX_ORACLE_LEVEL,
     Refusal,
     Report,
@@ -27,7 +26,6 @@ from crossweave.verify import (
     oracle_eval,
     random_rational,
     run_suite,
-    section_continuity_check,
 )
 from crossweave.weave import WovenFunction
 
@@ -174,26 +172,66 @@ class TestSectionContinuity:
         assert gap == Fraction(3, 8)
         assert gap <= woven.cross(1).lipschitz_bound * Fraction(1, 4)
 
-    def test_column_sections(self, woven):
-        rng = random.Random(DEFAULT_SEED)
-        for level in (0, 1, 5):
-            report = section_continuity_check(woven, "column", level, 60, rng)
-            assert report.passed, report.witnesses
-
-    def test_row_sections(self, woven):
-        rng = random.Random(DEFAULT_SEED)
-        for level in (0, 2, 7):
-            report = section_continuity_check(woven, "row", level, 60, rng)
-            assert report.passed, report.witnesses
-
-    def test_rejects_unknown_kind(self, woven):
-        with pytest.raises(ValueError):
-            section_continuity_check(woven, "diagonal", 0, 1, random.Random(0))
+    def test_both_lines_through_level_7(self, woven):
+        report = check_sections(woven, levels=8, samples_per_kind=60)
+        assert report.passed, report.witnesses
+        assert report.bounds["levels"] == 8
 
     def test_aggregate(self, woven):
         report = check_sections(woven, levels=6, samples_per_kind=40)
         assert report.passed
         assert report.bounds["largest_lipschitz"] >= 3
+
+    def test_a_lowered_bound_fails_on_both_lines(self):
+        broken = WovenFunction()
+        broken.build_to(0)
+        # the level-0 hat has slope 1 on both of its lines
+        broken.crosses[0].lipschitz_bound = Fraction(0)
+        report = check_sections(broken, levels=1, samples_per_kind=10)
+        assert not report.passed
+        found = {(w["level"], w["kind"]) for w in report.witnesses}
+        assert found == {(0, "column"), (0, "row")}
+
+    def test_a_broken_row_spot_check_fails(self):
+        broken = WovenFunction()
+        broken.build_to(3)
+        # shifting level 2 by a constant keeps its slopes, but its value at
+        # (x_2, y_0) no longer matches the level-0 row there
+        value_at = broken.crosses[2].value_at
+        broken.crosses[2].value_at = lambda point: value_at(point) + Fraction(1, 8)
+        report = check_sections(broken, levels=1, samples_per_kind=10)
+        assert not report.passed
+        witness = report.witnesses[0]
+        assert (witness["spot_level"], witness["level"], witness["kind"]) == (2, 0, "row")
+        assert witness["public"] - witness["cross"] == Fraction(1, 8)
+
+
+class TestNothingExaminedFails:
+    """A check that examined nothing must fail, not pass vacuously."""
+
+    def test_singleton_image_at_no_levels(self, woven):
+        for tower in (woven, WovenFunction()):
+            report = check_singleton_image(tower, 0)
+            assert not report.passed
+            assert report.witnesses == []
+            assert report.bounds == {"levels": 0}
+
+    def test_welldefined_on_an_empty_grid(self, woven):
+        assert not check_welldefined(woven, 0, 0).passed
+
+    def test_sections_at_no_levels(self, woven):
+        assert not check_sections(woven, levels=0).passed
+
+    def test_sections_without_samples(self, woven):
+        assert not check_sections(woven, levels=2, samples_per_kind=0).passed
+
+    def test_oracle_without_samples(self, woven):
+        assert not check_oracle_equivalence(woven, 3, samples=0).passed
+
+    def test_image_density_at_pitch_zero(self, woven):
+        report = check_image_density(woven, pitch=0)
+        assert not report.passed
+        assert set(report.bounds) == {"pitch", "eps"}
 
 
 class TestReportsAndDriver:
