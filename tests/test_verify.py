@@ -10,6 +10,7 @@ import pytest
 
 from crossweave.cross_extension import build_cross
 from crossweave.verify import (
+    DEFAULT_SEED,
     MAX_ORACLE_LEVEL,
     Refusal,
     Report,
@@ -172,10 +173,30 @@ class TestSectionContinuity:
         assert gap == Fraction(3, 8)
         assert gap <= woven.cross(1).lipschitz_bound * Fraction(1, 4)
 
-    def test_both_lines_through_level_7(self, woven):
+    def test_column_sections(self, woven):
+        report = check_sections(woven, levels=6, samples_per_kind=60)
+        assert report.passed, report.witnesses
+        assert report.bounds["levels"] == 6
+        # the column is the definition's route: on the columns of levels
+        # 0, 1 and 5 the public evaluator is the level's cross
+        rng = random.Random(DEFAULT_SEED)
+        for level in (0, 1, 5):
+            x = woven.pairing.x_coordinate(level)
+            for _ in range(20):
+                y = random_rational(rng)
+                assert woven.value(x, y) == woven.cross(level).value_at((x, y))
+
+    def test_row_sections(self, woven):
         report = check_sections(woven, levels=8, samples_per_kind=60)
         assert report.passed, report.witnesses
         assert report.bounds["levels"] == 8
+        # on the rows of levels 0, 2 and 7 the public evaluator agrees with
+        # the level's cross at every built column
+        for level in (0, 2, 7):
+            y = woven.pairing.pairs[level][1]
+            for m in range(woven.built_levels):
+                x = woven.pairing.x_coordinate(m)
+                assert woven.value(x, y) == woven.cross(level).value_at((x, y))
 
     def test_aggregate(self, woven):
         report = check_sections(woven, levels=6, samples_per_kind=40)
