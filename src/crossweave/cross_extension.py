@@ -27,11 +27,13 @@ the other line of the cross lies at least one coordinate gap, hence at
 least 2r, from every point of this line (the center, on both lines, is the
 exception).  So a cross keeps only the nonzero anchors of each line,
 sorted, with the center on both, and one bisection over that short list
-evaluates a point.  The radius is the caller's: a tower keeps it in `weave`
-as a running minimum over the coordinate gaps, and this module only checks
-that it lies in (0, 1].  The linear-scan reference that these shortcuts
-are tested against lives in `verify`, which shares no code with this
-module.
+finds a point's only two candidates.  The rest is integer arithmetic on
+numerators and denominators: the tent test d < r is one
+cross-multiplication, and a nonzero value is built as one `Fraction`.
+The radius is the caller's: a tower keeps it in `weave` as a running
+minimum over the coordinate gaps, and this module only checks that it lies
+in (0, 1].  The linear-scan reference that these shortcuts are tested
+against lives in `verify`, which shares no code with this module.
 """
 
 from __future__ import annotations
@@ -98,6 +100,13 @@ class CrossFunction:
         every point of this line; only the center lies on both lines, and
         it is stored with each.  So one bisection over the nonzero anchors
         of p's own line finds the only two candidates, its neighbors.
+
+        Past the bisection everything is in integers.  With t = t_n/t_d the
+        free coordinate, a = a_n/a_d a neighbor and r = r_n/r_d, the
+        distance is d = |a_n t_d - t_n a_d| / (a_d t_d), and d < r is
+        decided by cross-multiplying.  A hit returns v (1 - d) (1 - d/r) as
+        one `Fraction(numerator, denominator)`, which normalises to exactly
+        the value the `Fraction` formula gives; a miss returns zero.
         """
         px, py = point
         if px == self.column_x:
@@ -108,16 +117,22 @@ class CrossFunction:
             raise ValueError(f"point lies off the level-{self.level} cross")
         if self.level == 0:
             return base_value(self.column_x, self.row_y, point)
-        radius = self.radius
+        r_n, r_d = self.radius.numerator, self.radius.denominator
+        t_n, t_d = t.numerator, t.denominator
         pos = bisect_left(coordinates, t)
-        if pos < len(coordinates):
-            d = coordinates[pos] - t
-            if d < radius:
-                return values[pos] * (ONE - d) * (ONE - d / radius)
-        if pos > 0:
-            d = t - coordinates[pos - 1]
-            if d < radius:
-                return values[pos - 1] * (ONE - d) * (ONE - d / radius)
+        for i in (pos, pos - 1):
+            if 0 <= i < len(coordinates):
+                # d = |a - t| = d_n / d_d, not reduced; d < r cross-multiplied
+                a_n, a_d = coordinates[i].numerator, coordinates[i].denominator
+                d_d = a_d * t_d
+                d_n = abs(a_n * t_d - t_n * a_d)
+                if d_n * r_d < r_n * d_d:
+                    # v (1 - d) (1 - d/r), each factor over its own denominator
+                    v = values[i]
+                    return Fraction(
+                        v.numerator * (d_d - d_n) * (r_n * d_d - d_n * r_d),
+                        v.denominator * d_d * d_d * r_n,
+                    )
         return ZERO
 
 

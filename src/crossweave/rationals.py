@@ -16,7 +16,7 @@ consumes rationals, so both directions must be exact and deterministic.
 from __future__ import annotations
 
 import re
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -58,10 +58,11 @@ def decimal_approx(value: Fraction, digits: int = 20) -> str:
     """Decimal expansion of `value` to `digits` significant digits.
 
     Round-to-nearest; for display only, never fed back into arithmetic.
+    The context is made per call: a `Context` carries mutable flags, so one
+    shared between threads would race.
     """
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+    context = Context(prec=digits)
+    return str(context.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 @lru_cache(maxsize=None)

@@ -7,14 +7,16 @@ comparisons that rely on it.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossweave.cross_extension import base_value, build_cross
+from crossweave.cross_extension import ZERO, base_value, build_cross
 from crossweave.pairing import Pairing
+from crossweave.rationals import format_rational
 from crossweave.verify import brute_force_radius, cross_anchors, linear_scan_value
 from crossweave.weave import WovenFunction
 
@@ -301,19 +303,42 @@ class TestCrossProperties:
                 crosses[i].value_at((xs[i], ys[n])) for i in range(n)
             )
 
-    @given(cross_instances(), coordinate, coordinate)
+    @given(cross_instances(), coordinate, coordinate, st.integers(min_value=0))
     @settings(max_examples=80, deadline=None)
-    def test_fast_path_matches_reference(self, instance, t, s):
-        """Nearest-nonzero-anchor evaluation equals the linear-scan hat times tent."""
+    def test_fast_path_matches_reference(self, instance, t, s, pick):
+        """Nearest-nonzero-anchor evaluation equals the linear-scan hat times tent.
+
+        Besides two free points, each line is evaluated at a + r k/8 for
+        k = -9..9 around one of its own nonzero anchors a, which crosses
+        the tent's kinks: its peak, its edges d = r and the zero beyond.
+        """
         cross = build(*instance)
         anchors, values = reference_data(*instance)
         radius = brute_force_radius(anchors)
-        for point in ((cross.column_x, t), (s, cross.row_y)):
+        points = [(cross.column_x, t), (s, cross.row_y)]
+        edges = []
+        row, column = (coordinates for coordinates, _ in cross.lines)
+        around_row = row[pick % len(row)]
+        around_column = column[pick % len(column)]
+        for k in range(-9, 10):
+            offset = radius * Fraction(k, 8)
+            on_lines = [
+                (around_row + offset, cross.row_y),
+                (cross.column_x, around_column + offset),
+            ]
+            points.extend(on_lines)
+            if abs(k) == 8:
+                edges.extend(on_lines)
+        for point in points:
             fast = cross.value_at(point)
             assert fast == linear_scan_value(point, anchors, values, radius)
             assert 0 <= fast <= 1
             if point not in anchors:
                 assert fast < 1
+        # d = r from a is at least r from every other anchor, so the edge
+        # is a miss, which builds no Fraction and returns the shared zero
+        for point in edges:
+            assert cross.value_at(point) is ZERO
 
     @given(cross_instances(), coordinate, coordinate)
     @settings(max_examples=60, deadline=None)
@@ -325,3 +350,25 @@ class TestCrossProperties:
         bound = cross.lipschitz_bound
         distance = max(abs(p[0] - q[0]), abs(p[1] - q[1]))
         assert abs(cross.value_at(p) - cross.value_at(q)) <= bound * distance
+
+
+class TestTentValues:
+    def test_values_around_every_nonzero_anchor(self):
+        """The values at a, a +- r/3, a +- r/2 and a +- r, for every nonzero
+        anchor a of both lines of a 256-level tower, hash to the digest
+        recorded before evaluation moved to integer arithmetic."""
+        tower = WovenFunction()
+        tower.build_to(255)
+        values = []
+        for cross in tower.crosses:
+            r = cross.radius
+            offsets = (0, -r / 3, r / 3, -r / 2, r / 2, -r, r)
+            row, column = (coordinates for coordinates, _ in cross.lines)
+            for a in row:
+                values += [cross.value_at((a + o, cross.row_y)) for o in offsets]
+            for a in column:
+                values += [cross.value_at((cross.column_x, a + o)) for o in offsets]
+        assert len(values) == 10829
+        text = "\n".join(format_rational(value) for value in values)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "c95e66cdee33ef704cc34b2c66d7991a7e8fefa9b847f4d7bf81079946cc1fcb"

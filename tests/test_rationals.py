@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -94,6 +96,30 @@ class TestDecimalApprox:
 
     def test_negative(self):
         assert decimal_approx(Fraction(-3, 8)) == "-0.375"
+
+    def test_matches_the_local_context_quotient(self):
+        """The string equals the quotient under a local context of `digits`
+        precision, on random rationals, on 0, on 1 and on rounding ties."""
+        rng = random.Random(11)
+        cases = []
+        for _ in range(2000):
+            digits = rng.randint(1, 25)
+            kind = rng.randrange(4)
+            if kind == 0:
+                value = Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**12))
+            elif kind == 1:
+                value = rng.choice((Fraction(0), Fraction(1), Fraction(-1)))
+            else:
+                # a tie: exactly halfway between two `digits`-digit decimals
+                m = rng.randrange(10 ** (digits - 1), 10**digits)
+                value = Fraction(2 * m + 1, 2) * Fraction(10) ** rng.randint(-30, 30)
+                value *= rng.choice((1, -1))
+            cases.append((value, digits))
+        for value, digits in cases:
+            with localcontext() as ctx:
+                ctx.prec = digits
+                expected = str(Decimal(value.numerator) / Decimal(value.denominator))
+            assert decimal_approx(value, digits) == expected, (value, digits)
 
 
 class TestEnumeration:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from crossweave.cross_extension import build_cross
+from crossweave.cross_extension import CrossFunction, build_cross
 from crossweave.verify import (
     DEFAULT_SEED,
     MAX_ORACLE_LEVEL,
@@ -215,16 +215,50 @@ class TestSectionContinuity:
 
     def test_a_broken_row_spot_check_fails(self):
         broken = WovenFunction()
-        broken.build_to(3)
-        # shifting level 2 by a constant keeps its slopes, but its value at
-        # (x_2, y_0) no longer matches the level-0 row there
+        broken.build_to(2)
+        # shifting level 2 by a constant keeps its slopes, but its row no
+        # longer matches the columns of levels 0 and 1 where it meets them
         value_at = broken.crosses[2].value_at
         broken.crosses[2].value_at = lambda point: value_at(point) + Fraction(1, 8)
-        report = check_sections(broken, levels=1, samples_per_kind=10)
+        report = check_sections(broken, levels=3, samples_per_kind=10)
         assert not report.passed
         witness = report.witnesses[0]
-        assert (witness["spot_level"], witness["level"], witness["kind"]) == (2, 0, "row")
-        assert witness["public"] - witness["cross"] == Fraction(1, 8)
+        assert (witness["level"], witness["kind"]) == (2, "row")
+        assert witness["spot_level"] in (0, 1)
+        assert witness["cross"] - witness["public"] == Fraction(1, 8)
+
+    def test_points_depend_on_the_arguments_alone(self, monkeypatch):
+        """A tower built deeper beforehand gets the same report from the same
+        evaluations, in the same order, as a fresh one."""
+        calls = []
+        building = []
+        value_at, build_level = CrossFunction.value_at, WovenFunction.build_level
+
+        def recording(cross, point):
+            value = value_at(cross, point)
+            if not building:
+                calls.append((cross.level, point, value))
+            return value
+
+        def unrecorded(tower, level):
+            building.append(level)
+            try:
+                return build_level(tower, level)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(CrossFunction, "value_at", recording)
+        monkeypatch.setattr(WovenFunction, "build_level", unrecorded)
+        prebuilt = WovenFunction()
+        prebuilt.build_to(149)
+        sequences = []
+        for tower in (WovenFunction(), prebuilt):
+            calls.clear()
+            report = check_sections(tower, levels=24, samples_per_kind=40)
+            assert report.passed, report.witnesses
+            sequences.append((report.to_dict(), list(calls)))
+        assert sequences[0] == sequences[1]
+        assert len(sequences[0][1]) > 24 * 2 * 2 * 40
 
 
 class TestNothingExaminedFails:
@@ -248,6 +282,12 @@ class TestNothingExaminedFails:
 
     def test_oracle_without_samples(self, woven):
         assert not check_oracle_equivalence(woven, 3, samples=0).passed
+
+    @pytest.mark.parametrize("boxes", [0, -1])
+    def test_nonfeeble_without_boxes(self, woven, boxes):
+        report = nonfeeble_witness(woven, boxes)
+        assert not report.passed
+        assert report.bounds["boxes"] == boxes
 
     def test_image_density_at_pitch_zero(self, woven):
         report = check_image_density(woven, pitch=0)
