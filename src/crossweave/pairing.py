@@ -149,12 +149,6 @@ class Pairing:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def x_coordinate(self, level: int) -> Rational:
-        return self.pairs[level][0]
-
-    def y_coordinate(self, level: int) -> Rational:
-        return self.pairs[level][1]
-
     # -- construction ---------------------------------------------------
 
     def _take_least_unused(

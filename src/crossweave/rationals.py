@@ -22,11 +22,12 @@ from functools import lru_cache
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or a bare integer 'p'; the denominator part must be unsigned.
+    """Parse 'p/q' or a bare integer 'p' in ASCII digits; the denominator part
+    must be unsigned.
 
     >>> parse_rational("-3/6")
     Fraction(-1, 2)

@@ -1,8 +1,11 @@
 """Desk-scale certification of every property the construction promises.
 
 Each check returns a `Report` whose equalities are exact rational
-equalities; the only tolerance anywhere is the explicit eps of the image
-density search.  A failing report always carries a concrete counter-witness
+equalities.  The only tolerance left is the `eps` of `check_image_density`,
+a pass tolerance that a correct tower never uses: the first column's image
+is exactly the rationals of [0, 1], and every target is hit with equality.
+The argument goes when the benchmark harness stops passing it (ROADMAP.md,
+item 1).  A failing report always carries a concrete counter-witness
 (points, levels, and values, serialized as "p/q").
 
 The checks deliberately re-derive what they test through independent routes:
@@ -233,9 +236,9 @@ def check_welldefined(woven: WovenFunction, columns: int = 128, rows: int = 128)
     woven.build_to(max(columns, rows) - 1)
     failures = []
     for m in range(columns):
-        x = woven.pairing.x_coordinate(m)
+        x = woven.pairing.pairs[m][0]
         for n in range(rows):
-            y = woven.pairing.y_coordinate(n)
+            y = woven.pairing.pairs[n][1]
             by_column = woven.value(x, y)
             by_row = woven.value_via_row(x, y)
             if by_column != by_row:
@@ -284,53 +287,36 @@ def check_parameter_range(woven: WovenFunction, levels: int = 256) -> Report:
     )
 
 
-def image_density_search(
-    woven: WovenFunction, target: Rational, eps: Rational
-) -> Rational:
-    """A rational y with |value(x_0, y) - target| <= eps, by exact bisection.
+def image_density_search(woven: WovenFunction, target: Rational) -> Rational:
+    """The y with value(x_0, y) == target exactly, for any rational target in [0, 1].
 
-    The level-0 column runs linearly from value 1 at y_0 down to value 0 at
-    y_0 + 1, so bisection on that segment closes in on any target in [0, 1].
-    The endpoints are returned exactly for the extreme targets.
+    Level 0 is the bare hat around (x_0, y_0), so the first column falls
+    linearly from 1 at y_0 to 0 at y_0 + 1: f(x_0, y_0 + 1 - t) = t.  The
+    answer comes from that definition alone; `check_image_density`
+    evaluates it through the tower.
     """
     if not (ZERO <= target <= ONE):
         raise ValueError("density targets live in [0, 1]")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     woven.build_to(0)
-    x0 = woven.pairing.x_coordinate(0)
-    y0 = woven.pairing.y_coordinate(0)
-    if target == ONE:
-        return y0
-    if target == ZERO:
-        return y0 + 1
-    lo, hi = y0, y0 + 1  # value 1 at lo, value 0 at hi
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        value = woven.value(x0, mid)
-        if abs(value - target) <= eps:
-            return mid
-        if value > target:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError("bisection failed to converge; eps too small to represent?")
+    return woven.pairing.pairs[0][1] + 1 - target
 
 
 def check_image_density(
     woven: WovenFunction, pitch: int = 20, eps: Rational = Fraction(1, 40)
 ) -> Report:
-    """Sweep targets k/pitch over [0, 1]; each must be hit within eps.
+    """Sweep targets k/pitch over [0, 1]; the first column must hit each within eps.
 
-    A pitch below 1 names no targets, so it fails.
+    Every target is evaluated at `image_density_search`'s point through the
+    public `woven.value`, where a correct tower gives the target exactly, so
+    eps 0 passes.  A pitch below 1 names no targets, so it fails.
     """
     failures = []
     witnesses = []
     woven.build_to(0)
-    x0 = woven.pairing.x_coordinate(0)
+    x0 = woven.pairing.pairs[0][0]
     for k in range(pitch + 1 if pitch > 0 else 0):
         target = Fraction(k, pitch)
-        y = image_density_search(woven, target, eps)
+        y = image_density_search(woven, target)
         value = woven.value(x0, y)
         entry = {"target": target, "y": y, "value": value}
         if abs(value - target) > eps:
@@ -353,23 +339,20 @@ def nonfeeble_witness(
 ) -> Report:
     """Certify that the preimage of (u_lo, u_hi) has empty interior at box scale.
 
-    Passes iff (a) some point provably maps into the interval, so the
-    preimage is nonempty, and (b) each of the first `boxes` basic boxes
-    contains a diagonal pair mapping exactly to 1, which lies outside the
-    interval; so no basic box fits inside the preimage.  With `boxes` below
-    1, part (b) examined nothing, so the check fails.
+    Passes iff (a) the first-column point that `image_density_search` names
+    for the interval's midpoint maps into the interval, so the preimage is
+    nonempty, and (b) each of the first `boxes` basic boxes contains a
+    diagonal pair mapping exactly to 1, which lies outside the interval; so
+    no basic box fits inside the preimage.  With `boxes` below 1, part (b)
+    examined nothing, so the check fails.
     """
     if not (ZERO <= u_lo < u_hi <= ONE):
         raise ValueError("need 0 <= u_lo < u_hi <= 1")
-    if u_lo < ONE < u_hi:
-        raise ValueError("interval must not contain the diagonal value 1")
     failures = []
     witnesses = []
 
-    mid = (u_lo + u_hi) / 2
-    quarter = (u_hi - u_lo) / 4
-    y = image_density_search(woven, mid, quarter)
-    x0 = woven.pairing.x_coordinate(0)
+    y = image_density_search(woven, (u_lo + u_hi) / 2)
+    x0 = woven.pairing.pairs[0][0]
     member_value = woven.value(x0, y)
     member = {"kind": "member", "x": x0, "y": y, "value": member_value}
     if not (u_lo < member_value < u_hi):
@@ -427,7 +410,7 @@ def check_sections(
             fixed = woven.pairing.pairs[level][axis]
             if kind == "row":
                 for m in rng.sample(range(level + 1), min(5, level + 1)):
-                    x_m = woven.pairing.x_coordinate(m)
+                    x_m = woven.pairing.pairs[m][0]
                     via_public = woven.value(x_m, fixed)
                     via_cross = cross.value_at((x_m, fixed))
                     if via_public != via_cross:
@@ -499,7 +482,7 @@ def check_oracle_equivalence(
     failures = []
     for _ in range(samples):
         level = rng.randint(0, max_level)
-        x = woven.pairing.x_coordinate(level)
+        x = woven.pairing.pairs[level][0]
         y = random_rational(rng)
         fast = woven.value(x, y)
         slow = oracle_eval(woven.pairing, x, y, max_level, memo)

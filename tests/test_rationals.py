@@ -69,7 +69,9 @@ class TestParseFormat:
     def test_parses(self, text, expected):
         assert parse_rational(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "1.5", "a/b", "1/-2", "1/2/3", "/3", "1/0"])
+    @pytest.mark.parametrize(
+        "text", ["", "1.5", "a/b", "1/-2", "1/2/3", "/3", "1/0", "３", "١/٢"]
+    )
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)

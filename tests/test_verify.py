@@ -49,12 +49,12 @@ class TestOracle:
         rng = random.Random(7)
         for _ in range(25):
             level = rng.randint(0, 7)
-            x = woven.pairing.x_coordinate(level)
+            x = woven.pairing.pairs[level][0]
             y = random_rational(rng)
             assert woven.value(x, y) == oracle_eval(woven.pairing, x, y, 8)
 
     def test_refuses_deep_levels(self, woven):
-        x = woven.pairing.x_coordinate(5)
+        x = woven.pairing.pairs[5][0]
         with pytest.raises(Refusal):
             oracle_eval(woven.pairing, x, Fraction(0), max_level=3)
 
@@ -104,8 +104,8 @@ class TestBasicChecks:
         # must report a concrete counter-witness
         broken = WovenFunction()
         broken.build_to(5)
-        xs = tuple(broken.pairing.x_coordinate(i) for i in range(4))
-        ys = tuple(broken.pairing.y_coordinate(i) for i in range(4))
+        xs = tuple(broken.pairing.pairs[i][0] for i in range(4))
+        ys = tuple(broken.pairing.pairs[i][1] for i in range(4))
         column = list(broken.column_params[3])
         column[0] += Fraction(1, 8)
         assert 0 <= column[0] < 1
@@ -124,26 +124,36 @@ class TestBasicChecks:
 
 class TestImageDensity:
     def test_extreme_targets_hit_exactly(self, woven):
-        y0 = woven.pairing.y_coordinate(0)
-        assert image_density_search(woven, Fraction(1), Fraction(1, 40)) == y0
-        assert image_density_search(woven, Fraction(0), Fraction(1, 40)) == y0 + 1
+        y0 = woven.pairing.pairs[0][1]
+        assert image_density_search(woven, Fraction(1)) == y0
+        assert image_density_search(woven, Fraction(0)) == y0 + 1
 
     def test_midpoint_target(self, woven):
-        eps = Fraction(1, 40)
-        y = image_density_search(woven, Fraction(1, 2), eps)
-        x0 = woven.pairing.x_coordinate(0)
-        assert abs(woven.value(x0, y) - Fraction(1, 2)) <= eps
+        y = image_density_search(woven, Fraction(1, 2))
+        x0 = woven.pairing.pairs[0][0]
+        assert woven.value(x0, y) == Fraction(1, 2)
+
+    def test_every_target_of_pitch_97_is_hit_exactly(self, woven):
+        x0 = woven.pairing.pairs[0][0]
+        for k in range(98):
+            target = Fraction(k, 97)
+            assert woven.value(x0, image_density_search(woven, target)) == target, k
 
     def test_rejects_bad_inputs(self, woven):
         with pytest.raises(ValueError):
-            image_density_search(woven, Fraction(2), Fraction(1, 4))
+            image_density_search(woven, Fraction(2))
         with pytest.raises(ValueError):
-            image_density_search(woven, Fraction(1, 2), Fraction(0))
+            image_density_search(woven, Fraction(-1, 97))
 
     def test_sweep_passes(self, woven):
         report = check_image_density(woven, pitch=10, eps=Fraction(1, 20))
         assert report.passed
         assert report.witnesses  # exemplar targets recorded
+
+    def test_sweep_passes_with_no_tolerance(self, woven):
+        report = check_image_density(woven, pitch=97, eps=Fraction(0))
+        assert report.passed
+        assert all(w["value"] == w["target"] for w in report.witnesses)
 
 
 class TestNonfeebleWitness:
@@ -157,6 +167,11 @@ class TestNonfeebleWitness:
         report = nonfeeble_witness(woven, boxes=3)
         member = next(w for w in report.witnesses if w["kind"] == "member")
         assert Fraction(1, 4) < member["value"] < Fraction(3, 4)
+
+    def test_member_value_is_the_exact_midpoint(self, woven):
+        report = nonfeeble_witness(woven, 3, Fraction(1, 5), Fraction(1, 3))
+        member = next(w for w in report.witnesses if w["kind"] == "member")
+        assert member["value"] == Fraction(4, 15)
 
     def test_rejects_bad_intervals(self, woven):
         with pytest.raises(ValueError):
@@ -181,7 +196,7 @@ class TestSectionContinuity:
         # 0, 1 and 5 the public evaluator is the level's cross
         rng = random.Random(DEFAULT_SEED)
         for level in (0, 1, 5):
-            x = woven.pairing.x_coordinate(level)
+            x = woven.pairing.pairs[level][0]
             for _ in range(20):
                 y = random_rational(rng)
                 assert woven.value(x, y) == woven.cross(level).value_at((x, y))
@@ -195,7 +210,7 @@ class TestSectionContinuity:
         for level in (0, 2, 7):
             y = woven.pairing.pairs[level][1]
             for m in range(woven.built_levels):
-                x = woven.pairing.x_coordinate(m)
+                x = woven.pairing.pairs[m][0]
                 assert woven.value(x, y) == woven.cross(level).value_at((x, y))
 
     def test_aggregate(self, woven):

@@ -70,23 +70,23 @@ class TestStructuralInvariants:
 
     def test_route_agreement_on_the_grid(self, woven):
         for m in range(24):
-            x = woven.pairing.x_coordinate(m)
+            x = woven.pairing.pairs[m][0]
             for n in range(24):
-                y = woven.pairing.y_coordinate(n)
+                y = woven.pairing.pairs[n][1]
                 assert woven.value(x, y) == woven.value_via_row(x, y)
 
     @given(st.integers(min_value=0, max_value=47), probe)
     @settings(max_examples=80, deadline=None)
     def test_value_is_the_column_interpolant(self, woven, level, y):
         """The public route equals the level's own interpolant on its column."""
-        x = woven.pairing.x_coordinate(level)
+        x = woven.pairing.pairs[level][0]
         assert woven.value(x, y) == woven.cross(level).value_at((x, y))
 
     @given(st.integers(min_value=0, max_value=47), probe)
     @settings(max_examples=80, deadline=None)
     def test_purity(self, woven, level, y):
         """Evaluating twice gives the identical exact value."""
-        x = woven.pairing.x_coordinate(level)
+        x = woven.pairing.pairs[level][0]
         assert woven.value(x, y) == woven.value(x, y)
 
 
