@@ -74,18 +74,21 @@ class CrossFunction:
         level: int,
         center: Point,
         radius: Rational,
-        lipschitz_bound: Rational,
         lines: tuple[Line, Line],
     ) -> None:
         self.level = level
         self.column_x, self.row_y = center
         self.radius = radius
-        self.lipschitz_bound = lipschitz_bound
         # the nonzero anchors of each line, indexed by the axis their
         # coordinates lie on: the row's at x-coordinates, the column's at
         # y-coordinates.  The center, value 1, is on both.  These are the
         # only record of the level's prescribed values.
         self.lines = lines
+
+    @property
+    def lipschitz_bound(self) -> Rational:
+        """1 + 1/radius for both lines; 1 for the bare hat at level 0."""
+        return ONE if self.level == 0 else ONE + ONE / self.radius
 
     def value_at(self, point: Point) -> Rational:
         """Exact value at a point of the cross, through its nearest nonzero anchor.
@@ -170,12 +173,10 @@ def build_cross(
 
     `radius` is the tent radius, in (0, 1]: it must be at most half the
     minimum pairwise anchor distance, which the caller knows from the
-    coordinates it has placed (`weave` keeps it as a running minimum).  The
-    recorded Lipschitz bound is 1 + 1/radius (1 for the bare hat at level 0).
+    coordinates it has placed (`weave` keeps it as a running minimum).
     """
     if not (ZERO < radius <= ONE):
         raise ValueError("the tent radius must lie in (0, 1]")
-    lipschitz = ONE if level == 0 else ONE + ONE / radius
     row_line = _nonzero_line(row_anchors, center[0])
     column_line = _nonzero_line(column_anchors, center[1])
-    return CrossFunction(level, center, radius, lipschitz, (row_line, column_line))
+    return CrossFunction(level, center, radius, (row_line, column_line))

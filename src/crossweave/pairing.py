@@ -115,16 +115,16 @@ def enumerate_box(ordinal: int) -> Box:
 
 
 class Pairing:
-    """The growing pair sequence, its coordinate indexes, and its box-coverage log.
+    """The growing pair sequence and its coordinate indexes.
 
     Step n runs task n mod 3:
 
     * tasks 0 and 1: take the least-index unused rational on each axis (the
       two picks are independent; two steps in three keep both axes covered
       at a known rate),
-    * task 2: take the next unprocessed box and the least-index unused
-      rationals strictly inside its two sides, and log the new pair as that
-      box's density witness.
+    * task 2: at step 3k + 2, take box k and the least-index unused
+      rationals strictly inside its two sides; that pair is box k's density
+      witness.
 
     Because tasks 0 and 1 consume the least unused index outright, every
     index below an axis's scan start is already used; scans may start there.
@@ -139,7 +139,6 @@ class Pairing:
         self.pairs: list[Point] = []
         self.level_of_x: dict[Rational, int] = {}
         self.level_of_y: dict[Rational, int] = {}
-        self.box_witness: list[int] = []  # box ordinal -> level of its witness pair
         # per axis, 0 for x and 1 for y: its level index, its scan start,
         # and the indices at or above the start that bounded picks took
         self._level_of = (self.level_of_x, self.level_of_y)
@@ -182,10 +181,9 @@ class Pairing:
         for _ in range(steps):
             step = len(self.pairs)
             if step % 3 == 2:
-                box = enumerate_box(len(self.box_witness))
+                box = enumerate_box(step // 3)
                 x = self._take_least_unused(0, box.x_lo, box.x_hi)
                 y = self._take_least_unused(1, box.y_lo, box.y_hi)
-                self.box_witness.append(step)
             else:
                 x = self._take_least_unused(0)
                 y = self._take_least_unused(1)

@@ -1,27 +1,26 @@
 """Desk-scale certification of every property the construction promises.
 
 Each check returns a `Report` whose equalities are exact rational
-equalities.  The only tolerance left is the `eps` of `check_image_density`,
-a pass tolerance that a correct tower never uses: the first column's image
-is exactly the rationals of [0, 1], and every target is hit with equality.
-The argument goes when the benchmark harness stops passing it (ROADMAP.md,
-item 1).  A failing report always carries a concrete counter-witness
-(points, levels, and values, serialized as "p/q").
+equalities; no suite has a tolerance.  A check counts the items it
+examined, and `Report` alone decides the verdict: a check that examined
+nothing fails.  A failing report carries concrete counter-witnesses
+(points, levels, and values, serialized as "p/q"), at most five.
 
 The checks deliberately re-derive what they test through independent routes:
 
-* `oracle_eval` recomputes the function by direct recursion from the pair
-  coordinates alone, so it shares no evaluation code or state with the
-  fast path it checks.  This module holds the package's only reference
-  for one cross: `brute_force_radius`, the tent radius from every pair of
-  anchors, and `linear_scan_value`, hat times tent from one scan of the
-  anchors.  The oracle derives each level's anchors, values and radius
-  once per memo, scoped to one check, and evaluates points through these
-  two functions.  It refuses above `MAX_ORACLE_LEVEL`.
+* `oracle_eval` recomputes the function from the pair coordinates alone,
+  so it shares no evaluation code or state with the fast path it checks.
+  This module holds the package's only reference for one cross:
+  `brute_force_radius`, the tent radius from every pair of anchors, and
+  `linear_scan_value`, hat times tent from one scan of the anchors.  The
+  oracle derives the levels bottom-up, each level's anchors, values and
+  radius once per list of derived levels, scoped to one check, and
+  evaluates points through these two functions.  It refuses above
+  `MAX_ORACLE_LEVEL`.
 * `check_welldefined` compares the defining column route against the row
   route that the construction must make equivalent.
 * `check_sections` samples both lines of each level, its column and its
-  row, against the level's recorded Lipschitz bound.
+  row, against the level's Lipschitz bound.
 * `nonfeeble_witness` certifies that a value interval strictly between the
   diagonal value 1 and some attained value pulls back to a set with empty
   interior at box scale K: every basic box holds a diagonal point mapping
@@ -68,17 +67,33 @@ def _plain(value: object) -> object:
 
 @dataclass
 class Report:
-    """Outcome of one check: name, verdict, the bounds used, and witnesses."""
+    """Outcome of one check: its name, the bounds used, how many items it
+    examined, and the failures and passing examples it found.
+
+    The verdict is decided here and nowhere else: a check passes when it
+    examined something and found no failure.  A failing report shows its
+    first five failures, a passing one its examples.
+    """
 
     name: str
-    passed: bool
-    bounds: dict[str, object] = field(default_factory=dict)
-    witnesses: list[dict[str, object]] = field(default_factory=list)
+    bounds: dict[str, object]
+    checked: int
+    failures: list[dict[str, object]]
+    examples: list[dict[str, object]] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return self.checked > 0 and not self.failures
+
+    @property
+    def witnesses(self) -> list[dict[str, object]]:
+        return self.failures[:5] or self.examples
 
     def to_dict(self) -> dict[str, object]:
         return {
             "name": self.name,
             "passed": self.passed,
+            "checked": self.checked,
             "bounds": _plain(self.bounds),
             "witnesses": _plain(self.witnesses),
         }
@@ -87,6 +102,7 @@ class Report:
         verdict = "PASS" if self.passed else "FAIL"
         parts = [f"{verdict} {self.name}"]
         parts.extend(f"{k}={_plain(v)}" for k, v in self.bounds.items())
+        parts.append(f"checked={self.checked}")
         for witness in self.witnesses[:3]:
             inner = " ".join(f"{k}={_plain(v)}" for k, v in witness.items())
             parts.append(f"[{inner}]")
@@ -150,89 +166,59 @@ def linear_scan_value(
     return hat * tent
 
 
-def _oracle_level(
-    pairing: Pairing, level: int, memo: dict
-) -> tuple[list[Point], list[Rational], Rational]:
-    """The level's anchors, their values and its brute-force radius.
-
-    Derived from the pair coordinates once per `memo`; the values of the
-    earlier levels come from the oracle's own recursion, never from the
-    tower.  Sharing `memo` across calls is sound because a level depends
-    only on the pairs up to it, and a pairing only appends.
-    """
-    if level not in memo:
-        pairs = pairing.pairs[: level + 1]
-        anchors = cross_anchors([x for x, _ in pairs], [y for _, y in pairs])
-        column = [_oracle_cross_value(pairing, i, anchors[i], memo) for i in range(level)]
-        row = [
-            _oracle_cross_value(pairing, i, anchors[level + 1 + i], memo)
-            for i in range(level)
-        ]
-        memo[level] = anchors, [*column, ONE, *row], brute_force_radius(anchors)
-    return memo[level]
-
-
-def _oracle_cross_value(
-    pairing: Pairing, level: int, point: Point, memo: dict
-) -> Rational:
-    """Level-`level` value at a point of its cross, by the linear scan."""
-    center_x, center_y = pairing.pairs[level]
-    if point[0] != center_x and point[1] != center_y:
-        raise ValueError(f"point lies off the level-{level} cross")
-    return linear_scan_value(point, *_oracle_level(pairing, level, memo))
-
-
 def oracle_eval(
     pairing: Pairing,
     x: Rational,
     y: Rational,
     max_level: int = MAX_ORACLE_LEVEL,
-    memo: dict | None = None,
+    derived: list | None = None,
 ) -> Rational:
-    """Value at (x, y) by the oracle's memoized direct recursion.
+    """Value at (x, y) by the linear scan of the level of x, derived bottom-up.
 
-    Refuses when the level of x exceeds `max_level`, and refuses a
-    `max_level` above the depth cap `MAX_ORACLE_LEVEL`.  Pass one `memo`
-    dict to share derived levels across calls on the same pairing (as
-    `check_oracle_equivalence` does); without one, a fresh dict is used.
+    Level n's anchors come from the pair coordinates, their values from the
+    linear scans of the earlier levels (never from the tower), and its
+    radius by brute force.  Refuses when the level of x exceeds
+    `max_level`, and refuses a `max_level` above the depth cap
+    `MAX_ORACLE_LEVEL`.  Pass one `derived` list to share the derived levels
+    across calls on the same pairing (as `check_oracle_equivalence` does);
+    that is sound because a level depends only on the pairs up to it, and a
+    pairing only appends.  Without one, a fresh list is used.
     """
     if max_level > MAX_ORACLE_LEVEL:
         raise Refusal(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
     level = pairing.x_level(x, max_level=max_level)
-    return _oracle_cross_value(pairing, level, (x, y), {} if memo is None else memo)
+    derived = [] if derived is None else derived
+    for n in range(len(derived), level + 1):
+        anchors = cross_anchors(*zip(*pairing.pairs[: n + 1]))
+        # anchor i is on the row of level i, and anchor n + 1 + i on its column
+        column = [linear_scan_value(anchors[i], *derived[i]) for i in range(n)]
+        row = [linear_scan_value(anchors[n + 1 + i], *derived[i]) for i in range(n)]
+        derived.append((anchors, [*column, ONE, *row], brute_force_radius(anchors)))
+    return linear_scan_value((x, y), *derived[level])
 
 
 # -- checks ----------------------------------------------------------------
 
 
 def check_singleton_image(woven: WovenFunction, levels: int = 512) -> Report:
-    """Every diagonal pair must evaluate to exactly 1; no levels is a failure."""
+    """Every diagonal pair below `levels` must evaluate to exactly 1."""
     woven.build_to(levels - 1)
+    diagonal = woven.pairing.pairs[: max(levels, 0)]
     failures = []
-    for n in range(levels):
-        x, y = woven.pairing.pairs[n]
+    for n, (x, y) in enumerate(diagonal):
         value = woven.value(x, y)
         if value != ONE:
             failures.append({"level": n, "x": x, "y": y, "value": value})
-    passed = levels > 0 and not failures
-    witnesses = failures
-    if passed:
-        last = levels - 1
-        x, y = woven.pairing.pairs[last]
-        witnesses = [{"level": last, "x": x, "y": y, "value": ONE}]
+    examples = [
+        {"level": levels - 1, "x": x, "y": y, "value": ONE} for x, y in diagonal[-1:]
+    ]
     return Report(
-        name="singleton_image",
-        passed=passed,
-        bounds={"levels": levels},
-        witnesses=witnesses,
+        "singleton_image", {"levels": levels}, len(diagonal), failures, examples
     )
 
 
 def check_welldefined(woven: WovenFunction, columns: int = 128, rows: int = 128) -> Report:
-    """Column-route and row-route evaluation must agree on the pair grid.
-
-    An empty grid examined nothing, so it fails.
-    """
+    """Column-route and row-route evaluation must agree on the pair grid."""
     woven.build_to(max(columns, rows) - 1)
     failures = []
     for m in range(columns):
@@ -252,39 +238,30 @@ def check_welldefined(woven: WovenFunction, columns: int = 128, rows: int = 128)
                         "by_row": by_row,
                     }
                 )
-    return Report(
-        name="well_defined",
-        passed=columns > 0 and rows > 0 and not failures,
-        bounds={"columns": columns, "rows": rows},
-        witnesses=failures[:5],
-    )
+    bounds = {"columns": columns, "rows": rows}
+    return Report("well_defined", bounds, max(columns, 0) * max(rows, 0), failures)
 
 
 def check_parameter_range(woven: WovenFunction, levels: int = 256) -> Report:
     """Every prescribed value of the derived tables must lie in [0, 1) exactly.
 
-    Level 0 has no parameters, so a check that examined no value fails.
+    Counts the table entries read; level 0 has none.
     """
     woven.build_to(levels - 1)
     failures = []
-    values = 0
+    read = 0
     for k in range(levels):
         for table_name, table in (
             ("column", woven.column_params[k]),
             ("row", woven.row_params[k]),
         ):
-            values += len(table)
+            read += len(table)
             for i, value in enumerate(table):
                 if not (ZERO <= value < ONE):
                     failures.append(
                         {"level": k, "table": table_name, "index": i, "value": value}
                     )
-    return Report(
-        name="parameter_range",
-        passed=values > 0 and not failures,
-        bounds={"levels": levels, "values": values},
-        witnesses=failures[:5],
-    )
+    return Report("parameter_range", {"levels": levels}, read, failures)
 
 
 def image_density_search(woven: WovenFunction, target: Rational) -> Rational:
@@ -302,32 +279,29 @@ def image_density_search(woven: WovenFunction, target: Rational) -> Rational:
 
 
 def check_image_density(
-    woven: WovenFunction, pitch: int = 20, eps: Rational = Fraction(1, 40)
+    woven: WovenFunction, pitch: int = 20, eps: Rational = ZERO
 ) -> Report:
-    """Sweep targets k/pitch over [0, 1]; the first column must hit each within eps.
+    """Sweep targets k/pitch over [0, 1]; the first column must hit each exactly.
 
     Every target is evaluated at `image_density_search`'s point through the
-    public `woven.value`, where a correct tower gives the target exactly, so
-    eps 0 passes.  A pitch below 1 names no targets, so it fails.
+    public `woven.value`.  `eps` is a pass tolerance, 0 by default and in
+    every suite; it stays only because the benchmark harness passes it.
     """
     failures = []
-    witnesses = []
+    examples = []
     woven.build_to(0)
     x0 = woven.pairing.pairs[0][0]
-    for k in range(pitch + 1 if pitch > 0 else 0):
-        target = Fraction(k, pitch)
+    targets = [Fraction(k, pitch) for k in range(pitch + 1)] if pitch > 0 else []
+    for k, target in enumerate(targets):
         y = image_density_search(woven, target)
         value = woven.value(x0, y)
         entry = {"target": target, "y": y, "value": value}
         if abs(value - target) > eps:
             failures.append(entry)
         elif k in (0, pitch // 2, pitch):
-            witnesses.append(entry)
+            examples.append(entry)
     return Report(
-        name="image_density",
-        passed=pitch > 0 and not failures,
-        bounds={"pitch": pitch, "eps": eps},
-        witnesses=failures[:5] or witnesses,
+        "image_density", {"pitch": pitch, "eps": eps}, len(targets), failures, examples
     )
 
 
@@ -343,13 +317,12 @@ def nonfeeble_witness(
     for the interval's midpoint maps into the interval, so the preimage is
     nonempty, and (b) each of the first `boxes` basic boxes contains a
     diagonal pair mapping exactly to 1, which lies outside the interval; so
-    no basic box fits inside the preimage.  With `boxes` below 1, part (b)
-    examined nothing, so the check fails.
+    no basic box fits inside the preimage.  Counts the boxes examined.
     """
     if not (ZERO <= u_lo < u_hi <= ONE):
         raise ValueError("need 0 <= u_lo < u_hi <= 1")
     failures = []
-    witnesses = []
+    examples = []
 
     y = image_density_search(woven, (u_lo + u_hi) / 2)
     x0 = woven.pairing.pairs[0][0]
@@ -358,25 +331,26 @@ def nonfeeble_witness(
     if not (u_lo < member_value < u_hi):
         failures.append(member)
     else:
-        witnesses.append(member)
+        examples.append(member)
 
     # box k is processed by the density task at step 3k + 2
     woven.build_to(3 * boxes - 1)
-    for k in range(boxes):
-        box = enumerate_box(k)
-        level = woven.pairing.box_witness[k]
+    box_range = range(boxes)
+    for k in box_range:
+        level = 3 * k + 2
         x, y = woven.pairing.pairs[level]
         value = woven.value(x, y)
         entry = {"kind": "box", "box": k, "level": level, "x": x, "y": y, "value": value}
-        if not box.strictly_inside(x, y) or value != ONE:
+        if not enumerate_box(k).strictly_inside(x, y) or value != ONE:
             failures.append(entry)
         elif k == 0:
-            witnesses.append(entry)
+            examples.append(entry)
     return Report(
-        name="nonfeeble_witness",
-        passed=boxes > 0 and not failures,
-        bounds={"boxes": boxes, "u_lo": u_lo, "u_hi": u_hi},
-        witnesses=failures[:5] or witnesses,
+        "nonfeeble_witness",
+        {"boxes": boxes, "u_lo": u_lo, "u_hi": u_hi},
+        len(box_range),
+        failures,
+        examples,
     )
 
 
@@ -387,7 +361,7 @@ def check_sections(
     seed: int = DEFAULT_SEED,
 ) -> Report:
     """Random point pairs on both lines of every level below `levels` must
-    respect the level's recorded Lipschitz bound.
+    respect the level's Lipschitz bound.
 
     Each line is its level's cross restricted to it, and is sampled there.
     The column is the definition's own route; before the row is sampled,
@@ -396,10 +370,11 @@ def check_sections(
     section of the global function); they are drawn from the arguments
     alone, so a tower built deeper beforehand is examined at the same
     points.  A pair with equal values meets any bound and is not compared
-    further.  A check that sampled no line fails.
+    further.  Counts the sampled pairs; the spot checks are not counted.
     """
     rng = random.Random(seed)
     failures = []
+    sampled = 0
     worst_bound = ONE
     for level in range(levels):
         woven.build_to(level)
@@ -428,6 +403,7 @@ def check_sections(
             # a witness names the fixed coordinate and the two free ones
             fixed_name, free_name = ("x", "y") if axis == 0 else ("y", "x")
             for _ in range(samples_per_kind):
+                sampled += 1
                 t_a, t_b = random_rational(rng), random_rational(rng)
                 value_a, value_b = (
                     cross.value_at((fixed, t) if axis == 0 else (t, fixed))
@@ -448,17 +424,13 @@ def check_sections(
                             "kind": kind,
                         }
                     )
-    return Report(
-        name="section_lipschitz",
-        passed=levels > 0 and samples_per_kind > 0 and not failures,
-        bounds={
-            "levels": levels,
-            "samples_per_kind": samples_per_kind,
-            "seed": seed,
-            "largest_lipschitz": worst_bound,
-        },
-        witnesses=failures[:5],
-    )
+    bounds = {
+        "levels": levels,
+        "samples_per_kind": samples_per_kind,
+        "seed": seed,
+        "largest_lipschitz": worst_bound,
+    }
+    return Report("section_lipschitz", bounds, sampled, failures)
 
 
 def check_oracle_equivalence(
@@ -471,28 +443,30 @@ def check_oracle_equivalence(
 
     Samples are column points (x_m, q) with the level m uniform over
     0..max_level and q a random small rational.  All samples share one
-    oracle memo, created here, so the oracle derives each level once per
-    check and holds nothing between checks.  No samples is a failure.
+    list of oracle-derived levels, created here, so the oracle derives each
+    level once per check and holds nothing between checks.  Counts the
+    samples.
     """
     if max_level > MAX_ORACLE_LEVEL:
         raise Refusal(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
     woven.build_to(max_level)
     rng = random.Random(seed)
-    memo: dict = {}
+    derived: list = []
+    drawn = range(samples)
     failures = []
-    for _ in range(samples):
+    for _ in drawn:
         level = rng.randint(0, max_level)
         x = woven.pairing.pairs[level][0]
         y = random_rational(rng)
         fast = woven.value(x, y)
-        slow = oracle_eval(woven.pairing, x, y, max_level, memo)
+        slow = oracle_eval(woven.pairing, x, y, max_level, derived)
         if fast != slow:
             failures.append({"level": level, "x": x, "y": y, "fast": fast, "oracle": slow})
     return Report(
-        name="oracle_equivalence",
-        passed=samples > 0 and not failures,
-        bounds={"max_level": max_level, "samples": samples, "seed": seed},
-        witnesses=failures[:5],
+        "oracle_equivalence",
+        {"max_level": max_level, "samples": samples, "seed": seed},
+        len(drawn),
+        failures,
     )
 
 
@@ -505,12 +479,7 @@ SUITES = {
     "singleton": (512, lambda woven, depth, seed: check_singleton_image(woven, depth)),
     "range": (512, lambda woven, depth, seed: check_parameter_range(woven, depth)),
     "welldef": (128, lambda woven, depth, seed: check_welldefined(woven, depth, depth)),
-    "density": (
-        20,
-        lambda woven, depth, seed: check_image_density(
-            woven, pitch=depth, eps=Fraction(1, 2 * depth)
-        ),
-    ),
+    "density": (20, lambda woven, depth, seed: check_image_density(woven, pitch=depth)),
     "witness": (50, lambda woven, depth, seed: nonfeeble_witness(woven, boxes=depth)),
     "lipschitz": (
         64,

@@ -44,24 +44,28 @@ def test_criterion_1_value_one_on_every_pair(woven512):
     report = check_singleton_image(woven512, levels=512)
     announce(1, "f equals exactly 1/1 at each of the first 512 pairs", report.passed)
     assert report.passed, report.text_line()
+    assert report.checked == 512
 
 
 def test_criterion_2_column_and_row_routes_agree(woven512):
     report = check_welldefined(woven512, columns=128, rows=128)
     announce(2, "column and row evaluation agree on a 128 by 128 crossing grid", report.passed)
     assert report.passed, report.text_line()
+    assert report.checked == 16_384
 
 
 def test_criterion_3_parameters_stay_in_the_unit_interval(woven512):
     report = check_parameter_range(woven512, levels=256)
     announce(3, "all column and row parameters for 256 levels lie in [0, 1)", report.passed)
     assert report.passed, report.text_line()
+    assert report.checked == 65_280
 
 
 def test_criterion_4_first_column_hits_a_twentieth_pitch_ladder(woven512):
-    report = check_image_density(woven512, pitch=20, eps=Fraction(1, 40))
-    announce(4, "the first column section attains each k/20 within 1/40", report.passed)
+    report = check_image_density(woven512, pitch=20)
+    announce(4, "the first column section attains each k/20 exactly", report.passed)
     assert report.passed, report.text_line()
+    assert report.checked == 21
 
 
 def test_criterion_5_no_open_box_inside_the_middle_preimage(woven512):
@@ -72,6 +76,7 @@ def test_criterion_5_no_open_box_inside_the_middle_preimage(woven512):
     announce(5, "preimage of (1/4, 3/4) is nonempty yet misses all 50 first boxes", passed)
     assert member_ok, f"membership value came out as {worked}"
     assert report.passed, report.text_line()
+    assert report.checked == 50
 
 
 def test_criterion_6_memoized_tower_matches_naive_recursion(woven512):
@@ -80,12 +85,14 @@ def test_criterion_6_memoized_tower_matches_naive_recursion(woven512):
     )
     announce(6, "memoized evaluation equals the independent oracle on 200 points", report.passed)
     assert report.passed, report.text_line()
+    assert report.checked == 200
 
 
 def test_criterion_7_sections_obey_their_lipschitz_bounds(woven512):
     report = check_sections(woven512, levels=64, samples_per_kind=500, seed=DEFAULT_SEED)
     announce(7, "1000 sampled same-section pairs per level respect the bound", report.passed)
     assert report.passed, report.text_line()
+    assert report.checked == 64_000
 
 
 def test_criterion_8_pairing_saturates_the_plane():
@@ -101,12 +108,10 @@ def test_criterion_8_pairing_saturates_the_plane():
         for i in range(1000)
     )
 
-    boxed = len(pairing.box_witness) >= 200
-    for ordinal in range(200):
-        if not boxed:
-            break
-        x, y = pairing.pairs[pairing.box_witness[ordinal]]
-        boxed = enumerate_box(ordinal).strictly_inside(x, y)
+    # the density task processes box k at step 3k + 2
+    boxed = all(
+        enumerate_box(k).strictly_inside(*pairing.pairs[3 * k + 2]) for k in range(200)
+    )
 
     passed = distinct and covered and boxed
     announce(8, "10000 pairs: distinct coordinates, fast coverage, dense boxes", passed)

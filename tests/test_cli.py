@@ -205,7 +205,7 @@ class TestVerify:
         """Level 0 has no parameters, so depth 1 examines none."""
         code, out, _ = run(capsys, "verify", "--suite", "range", "--depth", "1")
         assert code == 1
-        assert "FAIL parameter_range  levels=1  values=0" in out
+        assert "FAIL parameter_range  levels=1  checked=0" in out
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -215,6 +215,7 @@ class TestVerify:
         payload = json.loads(out)
         assert isinstance(payload, list) and payload[0]["passed"] is True
         assert payload[0]["name"] == "image_density"
+        assert payload[0]["checked"] == 21
 
     @pytest.mark.parametrize(
         "suite, depth", [("density", "-3"), ("singleton", "-1"), ("witness", "0")]
@@ -248,7 +249,7 @@ class TestVerify:
 
     def test_failing_report_yields_exit_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "run_suite", lambda *a, **k: [Report(name="demo", passed=False)]
+            cli, "run_suite", lambda *a, **k: [Report("demo", {}, 0, [])]
         )
         code, out, _ = run(capsys, "verify", "--suite", "density")
         assert code == 1

@@ -130,12 +130,10 @@ class TestPairingConstruction:
     def test_box_witnesses_are_strictly_inside(self):
         pairing = Pairing()
         pairing.extend(360)
-        assert len(pairing.box_witness) == 120
-        for ordinal, level in enumerate(pairing.box_witness):
-            box = enumerate_box(ordinal)
-            x, y = pairing.pairs[level]
-            assert box.strictly_inside(x, y)
-            assert level == 3 * ordinal + 2  # density task cadence
+        # the density task processes box k at step 3k + 2
+        for ordinal in range(120):
+            x, y = pairing.pairs[3 * ordinal + 2]
+            assert enumerate_box(ordinal).strictly_inside(x, y)
 
     def test_picks_match_their_definition(self):
         """Each pick, recomputed with Fractions from the schedule's definition:
@@ -169,7 +167,8 @@ class TestPairingConstruction:
         one.extend(500)
         two.extend(500)
         assert one.pairs == two.pairs
-        assert one.box_witness == two.box_witness
+        assert one.level_of_x == two.level_of_x
+        assert one.level_of_y == two.level_of_y
 
     @given(st.integers(min_value=0, max_value=120), st.integers(min_value=0, max_value=120))
     @settings(max_examples=25, deadline=None)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from crossweave import cross_extension
 from crossweave.cross_extension import CrossFunction, build_cross
 from crossweave.verify import (
     DEFAULT_SEED,
@@ -74,15 +75,20 @@ class TestOracle:
     def test_rederives_parameter_tables_above_the_old_cap(self, woven):
         """The oracle re-derives both parameter tables of levels 13..20 exactly."""
         pairing = woven.pairing
-        memo = {}
+        derived = []
         for n in range(13, 21):
             x_n, y_n = pairing.pairs[n]
             for i in range(n):
                 x_i, y_i = pairing.pairs[i]
-                column = oracle_eval(pairing, x_n, y_i, MAX_ORACLE_LEVEL, memo)
-                row = oracle_eval(pairing, x_i, y_n, MAX_ORACLE_LEVEL, memo)
+                column = oracle_eval(pairing, x_n, y_i, MAX_ORACLE_LEVEL, derived)
+                row = oracle_eval(pairing, x_i, y_n, MAX_ORACLE_LEVEL, derived)
                 assert column == woven.column_params[n][i], (n, i)
                 assert row == woven.row_params[n][i], (n, i)
+        # every derived level holds the tower's tables and radius, rows included
+        assert len(derived) == 21
+        for n, (_, values, radius) in enumerate(derived):
+            assert values == [*woven.column_params[n], 1, *woven.row_params[n]], n
+            assert radius == woven.cross(n).radius, n
 
 
 class TestBasicChecks:
@@ -90,6 +96,13 @@ class TestBasicChecks:
         report = check_singleton_image(woven, 40)
         assert report.passed
         assert report.witnesses[0]["value"] == Fraction(1)
+
+    def test_a_failing_singleton_report_shows_five_witnesses(self, monkeypatch):
+        monkeypatch.setattr(WovenFunction, "value", lambda tower, x, y: Fraction(0))
+        report = check_singleton_image(WovenFunction(), 12)
+        assert not report.passed
+        assert (report.checked, len(report.failures)) == (12, 12)
+        assert [w["level"] for w in report.witnesses] == [0, 1, 2, 3, 4]
 
     def test_welldefined_passes(self, woven):
         report = check_welldefined(woven, 20, 20)
@@ -146,8 +159,9 @@ class TestImageDensity:
             image_density_search(woven, Fraction(-1, 97))
 
     def test_sweep_passes(self, woven):
-        report = check_image_density(woven, pitch=10, eps=Fraction(1, 20))
-        assert report.passed
+        report = check_image_density(woven, pitch=10)
+        assert report.passed and report.checked == 11
+        assert report.bounds["eps"] == 0
         assert report.witnesses  # exemplar targets recorded
 
     def test_sweep_passes_with_no_tolerance(self, woven):
@@ -218,11 +232,11 @@ class TestSectionContinuity:
         assert report.passed
         assert report.bounds["largest_lipschitz"] >= 3
 
-    def test_a_lowered_bound_fails_on_both_lines(self):
+    def test_a_lowered_bound_fails_on_both_lines(self, monkeypatch):
         broken = WovenFunction()
         broken.build_to(0)
         # the level-0 hat has slope 1 on both of its lines
-        broken.crosses[0].lipschitz_bound = Fraction(0)
+        monkeypatch.setattr(CrossFunction, "lipschitz_bound", Fraction(0))
         report = check_sections(broken, levels=1, samples_per_kind=10)
         assert not report.passed
         found = {(w["level"], w["kind"]) for w in report.witnesses}
@@ -279,6 +293,25 @@ class TestSectionContinuity:
 class TestNothingExaminedFails:
     """A check that examined nothing must fail, not pass vacuously."""
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda tower: check_singleton_image(tower, 0),
+            lambda tower: check_welldefined(tower, 0, 0),
+            lambda tower: check_parameter_range(tower, 1),
+            lambda tower: check_image_density(tower, pitch=0),
+            lambda tower: nonfeeble_witness(tower, 0),
+            lambda tower: check_sections(tower, levels=0),
+            lambda tower: check_oracle_equivalence(tower, 3, samples=0),
+        ],
+        ids=["singleton", "welldef", "range", "density", "witness", "lipschitz", "oracle"],
+    )
+    def test_zero_scale_examines_nothing(self, woven, check):
+        report = check(woven)
+        assert report.checked == 0
+        assert not report.passed
+        assert not report.failures
+
     def test_singleton_image_at_no_levels(self, woven):
         for tower in (woven, WovenFunction()):
             report = check_singleton_image(tower, 0)
@@ -286,46 +319,37 @@ class TestNothingExaminedFails:
             assert report.witnesses == []
             assert report.bounds == {"levels": 0}
 
-    def test_welldefined_on_an_empty_grid(self, woven):
-        assert not check_welldefined(woven, 0, 0).passed
-
-    def test_sections_at_no_levels(self, woven):
-        assert not check_sections(woven, levels=0).passed
-
     def test_sections_without_samples(self, woven):
-        assert not check_sections(woven, levels=2, samples_per_kind=0).passed
-
-    def test_oracle_without_samples(self, woven):
-        assert not check_oracle_equivalence(woven, 3, samples=0).passed
+        """The row spot checks run, but only sampled pairs are counted."""
+        report = check_sections(woven, levels=2, samples_per_kind=0)
+        assert report.checked == 0 and not report.passed
 
     @pytest.mark.parametrize("boxes", [0, -1])
     def test_nonfeeble_without_boxes(self, woven, boxes):
         report = nonfeeble_witness(woven, boxes)
         assert not report.passed
         assert report.bounds["boxes"] == boxes
-
-    def test_image_density_at_pitch_zero(self, woven):
-        report = check_image_density(woven, pitch=0)
-        assert not report.passed
-        assert set(report.bounds) == {"pitch", "eps"}
+        assert report.checked == 0
 
 
 class TestReportsAndDriver:
     def test_serialization_uses_canonical_rationals(self):
         report = Report(
             name="demo",
-            passed=True,
             bounds={"eps": Fraction(1, 40)},
-            witnesses=[{"x": Fraction(-1, 2), "note": "ok"}],
+            checked=1,
+            failures=[],
+            examples=[{"x": Fraction(-1, 2), "note": "ok"}],
         )
         payload = report.to_dict()
+        assert payload["passed"] is True and payload["checked"] == 1
         assert payload["bounds"]["eps"] == "1/40"
         assert payload["witnesses"][0]["x"] == "-1/2"
         assert json.loads(json.dumps(payload)) == payload
 
     def test_text_line_shape(self):
-        line = Report(name="demo", passed=False, bounds={"n": 3}).text_line()
-        assert line.startswith("FAIL demo")
+        line = Report(name="demo", bounds={"n": 3}, checked=0, failures=[]).text_line()
+        assert line == "FAIL demo  n=3  checked=0"
 
     def test_random_rational_is_seeded_and_bounded(self):
         values_a = [random_rational(random.Random(11)) for _ in range(1)]
@@ -352,3 +376,18 @@ class TestReportsAndDriver:
         reports = run_suite("density")
         assert reports[0].passed
         assert reports[0].bounds["pitch"] == 20
+        assert reports[0].bounds["eps"] == 0
+
+    def test_density_suite_fails_a_steeper_hat(self, monkeypatch):
+        """A level-0 hat of slope 1001/1000 misses every target but 0 and 1."""
+
+        def steeper(x0, y0, point):
+            distance = max(abs(point[0] - x0), abs(point[1] - y0))
+            return max(Fraction(0), 1 - Fraction(1001, 1000) * distance)
+
+        monkeypatch.setattr(cross_extension, "base_value", steeper)
+        [report] = run_suite("density")
+        assert not report.passed
+        first = report.witnesses[0]
+        assert (first["target"], first["value"]) == (Fraction(1, 20), Fraction(981, 20000))
+        assert report.checked == 21 and len(report.failures) == 19
