@@ -25,11 +25,20 @@ nearest anchor and the product is v_a * (1 - d) * (1 - d/r), with d the
 distance from p to a; a point within r of no anchor gets 0.  An anchor on
 the other line of the cross lies at least one coordinate gap, hence at
 least 2r, from every point of this line (the center, on both lines, is the
-exception).  So a cross keeps only the nonzero anchors of each line,
-sorted, with the center on both, and one bisection over that short list
-finds a point's only two candidates.  The rest is integer arithmetic on
-numerators and denominators: the tent test d < r is one
-cross-multiplication, and a nonzero value is built as one `Fraction`.
+exception).  So a cross keeps only the nonzero anchors of each line, with
+the center on both, and finds a point's only two candidates by one
+bisection over that short list.
+
+A line is stored once, in integers: L, the lcm of its anchor coordinates'
+denominators, and each coordinate a as the integer a L, increasing; the
+values stay `Fraction`s.  `CrossFunction.lines` derives the `Fraction`
+coordinates from these on demand, and no other module knows the format.
+A point's coordinate t = t_n/t_d is located among the integers at
+ceil(t L), since an integer A is below t L exactly when it is below
+ceil(t L); so the bisection compares integers only.  The rest is integer
+arithmetic too: the tent test d < r is one cross-multiplication, and a
+nonzero value is built as one `Fraction`.
+
 The radius is the caller's: a tower keeps it in `weave` as a running
 minimum over the coordinate gaps, and this module only checks that it lies
 in (0, 1].  The linear-scan reference that these shortcuts are tested
@@ -40,6 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .pairing import Point
@@ -48,7 +58,9 @@ from .rationals import Rational
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-Line = tuple[tuple[Rational, ...], tuple[Rational, ...]]
+# one line's nonzero anchors: the common denominator L of their coordinates,
+# each coordinate a as the integer a L in increasing order, and their values
+Line = tuple[int, tuple[int, ...], tuple[Rational, ...]]
 
 
 def base_value(x0: Rational, y0: Rational, point: Point) -> Rational:
@@ -81,9 +93,23 @@ class CrossFunction:
         self.radius = radius
         # the nonzero anchors of each line, indexed by the axis their
         # coordinates lie on: the row's at x-coordinates, the column's at
-        # y-coordinates.  The center, value 1, is on both.  These are the
-        # only record of the level's prescribed values.
-        self.lines = lines
+        # y-coordinates, each a `Line` in integers.  The center, value 1, is
+        # on both.  These are the only record of the level's prescribed
+        # values.
+        self._lines = lines
+
+    @property
+    def lines(self) -> tuple[tuple[list[Rational], tuple[Rational, ...]], ...]:
+        """The row's and the column's nonzero anchors: their coordinates,
+        increasing, as a new list of `Fraction`s on each read, and their
+        values."""
+        # a list, not a tuple: the interpreter keeps up to 2 000 freed tuples
+        # of each short length for reuse, and tuples here raised the peak
+        # RSS of a 150-level tower's certification by 0.1 MiB
+        return tuple(
+            ([Fraction(a, scale) for a in coordinates], values)
+            for scale, coordinates, values in self._lines
+        )
 
     @property
     def lipschitz_bound(self) -> Rational:
@@ -104,31 +130,35 @@ class CrossFunction:
         it is stored with each.  So one bisection over the nonzero anchors
         of p's own line finds the only two candidates, its neighbors.
 
-        Past the bisection everything is in integers.  With t = t_n/t_d the
-        free coordinate, a = a_n/a_d a neighbor and r = r_n/r_d, the
-        distance is d = |a_n t_d - t_n a_d| / (a_d t_d), and d < r is
+        Everything is in integers.  The line is picked by comparing
+        numerator-denominator pairs.  With t = t_n/t_d the free coordinate
+        and L the line's denominator, the anchors are the integers A = a L,
+        and A < t L exactly when A < ceil(t L) = -(-t_n L // t_d), so
+        bisecting at that integer finds the position that bisecting the
+        `Fraction` coordinates at t would.  With r = r_n/r_d, the distance
+        to a neighbor is d = |A t_d - t_n L| / (L t_d), and d < r is
         decided by cross-multiplying.  A hit returns v (1 - d) (1 - d/r) as
         one `Fraction(numerator, denominator)`, which normalises to exactly
         the value the `Fraction` formula gives; a miss returns zero.
         """
         px, py = point
-        if px == self.column_x:
-            (coordinates, values), t = self.lines[1], py
-        elif py == self.row_y:
-            (coordinates, values), t = self.lines[0], px
+        x = px.as_integer_ratio()
+        if x == self.column_x.as_integer_ratio():
+            (scale, coordinates, values), (t_n, t_d) = self._lines[1], py.as_integer_ratio()
+        elif py.as_integer_ratio() == self.row_y.as_integer_ratio():
+            (scale, coordinates, values), (t_n, t_d) = self._lines[0], x
         else:
             raise ValueError(f"point lies off the level-{self.level} cross")
         if self.level == 0:
             return base_value(self.column_x, self.row_y, point)
-        r_n, r_d = self.radius.numerator, self.radius.denominator
-        t_n, t_d = t.numerator, t.denominator
-        pos = bisect_left(coordinates, t)
+        r_n, r_d = self.radius.as_integer_ratio()
+        t_scaled = t_n * scale
+        pos = bisect_left(coordinates, -(-t_scaled // t_d))
+        # d = |a - t| = d_n / d_d, not reduced; d < r cross-multiplied
+        d_d = scale * t_d
         for i in (pos, pos - 1):
             if 0 <= i < len(coordinates):
-                # d = |a - t| = d_n / d_d, not reduced; d < r cross-multiplied
-                a_n, a_d = coordinates[i].numerator, coordinates[i].denominator
-                d_d = a_d * t_d
-                d_n = abs(a_n * t_d - t_n * a_d)
+                d_n = abs(coordinates[i] * t_d - t_scaled)
                 if d_n * r_d < r_n * d_d:
                     # v (1 - d) (1 - d/r), each factor over its own denominator
                     v = values[i]
@@ -142,19 +172,23 @@ class CrossFunction:
 def _nonzero_line(
     anchors: Iterable[tuple[Rational, Rational]], center: Rational
 ) -> Line:
-    """The center (value 1) and the nonzero anchors of one line, sorted.
+    """The center (value 1) and the nonzero anchors of one line, as integers
+    over their common denominator, sorted.
 
     Refuses a prescribed value outside [0, 1); a zero one is in range, so
-    only the nonzero ones need comparing, and it is dropped.
+    only the nonzero ones need comparing, and it is dropped.  The range is
+    decided on the value's numerator and its denominator, which is positive.
     """
-    line = [(center, ONE)]
+    line = [(center.as_integer_ratio(), ONE)]
     for coordinate, value in anchors:
-        if value:
-            if not (ZERO < value < ONE):
+        v_n, v_d = value.as_integer_ratio()
+        if v_n:
+            if not 0 < v_n < v_d:
                 raise ValueError("prescribed values must lie in [0, 1)")
-            line.append((coordinate, value))
-    line.sort()
-    return tuple(c for c, _ in line), tuple(v for _, v in line)
+            line.append((coordinate.as_integer_ratio(), value))
+    scale = lcm(*(a_d for (_, a_d), _ in line))
+    line = sorted((a_n * (scale // a_d), v) for (a_n, a_d), v in line)
+    return scale, tuple(a for a, _ in line), tuple(v for _, v in line)
 
 
 def build_cross(

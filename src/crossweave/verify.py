@@ -16,7 +16,9 @@ The checks deliberately re-derive what they test through independent routes:
   oracle derives the levels bottom-up, each level's anchors, values and
   radius once per list of derived levels, scoped to one check, and
   evaluates points through these two functions.  It refuses above
-  `MAX_ORACLE_LEVEL`.
+  `MAX_ORACLE_LEVEL`.  `check_oracle_equivalence` compares its sampled
+  points and then every level it derived, values and radius, with the
+  tower.
 * `check_welldefined` compares the defining column route against the row
   route that the construction must make equivalent.
 * `check_sections` samples both lines of each level, its column and its
@@ -314,21 +316,23 @@ def nonfeeble_witness(
     """Certify that the preimage of (u_lo, u_hi) has empty interior at box scale.
 
     Passes iff (a) the first-column point that `image_density_search` names
-    for the interval's midpoint maps into the interval, so the preimage is
-    nonempty, and (b) each of the first `boxes` basic boxes contains a
-    diagonal pair mapping exactly to 1, which lies outside the interval; so
-    no basic box fits inside the preimage.  Counts the boxes examined.
+    for the interval's midpoint maps exactly to that midpoint, so the
+    preimage is nonempty, and (b) each of the first `boxes` basic boxes
+    contains a diagonal pair mapping exactly to 1, which lies outside the
+    interval; so no basic box fits inside the preimage.  Counts the boxes
+    examined.
     """
     if not (ZERO <= u_lo < u_hi <= ONE):
         raise ValueError("need 0 <= u_lo < u_hi <= 1")
     failures = []
     examples = []
 
-    y = image_density_search(woven, (u_lo + u_hi) / 2)
+    midpoint = (u_lo + u_hi) / 2
+    y = image_density_search(woven, midpoint)
     x0 = woven.pairing.pairs[0][0]
     member_value = woven.value(x0, y)
     member = {"kind": "member", "x": x0, "y": y, "value": member_value}
-    if not (u_lo < member_value < u_hi):
+    if member_value != midpoint:
         failures.append(member)
     else:
         examples.append(member)
@@ -444,8 +448,11 @@ def check_oracle_equivalence(
     Samples are column points (x_m, q) with the level m uniform over
     0..max_level and q a random small rational.  All samples share one
     list of oracle-derived levels, created here, so the oracle derives each
-    level once per check and holds nothing between checks.  Counts the
-    samples.
+    level once per check and holds nothing between checks.  A column point
+    reads none of its level's row values, so afterwards every derived level
+    n is compared entry by entry with the tower's: entries 0..2n are its
+    values, [*column_params[n], 1, *row_params[n]], and entry 2n + 1 its
+    radius.  Counts the samples plus the compared entries.
     """
     if max_level > MAX_ORACLE_LEVEL:
         raise Refusal(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
@@ -462,10 +469,17 @@ def check_oracle_equivalence(
         slow = oracle_eval(woven.pairing, x, y, max_level, derived)
         if fast != slow:
             failures.append({"level": level, "x": x, "y": y, "fast": fast, "oracle": slow})
+    compared = 0
+    for n, (_, values, radius) in enumerate(derived):
+        tower = [*woven.column_params[n], ONE, *woven.row_params[n], woven.cross(n).radius]
+        for entry, (expected, found) in enumerate(zip(tower, [*values, radius], strict=True)):
+            if expected != found:
+                failures.append({"level": n, "entry": entry, "tower": expected, "oracle": found})
+        compared += len(tower)
     return Report(
         "oracle_equivalence",
         {"max_level": max_level, "samples": samples, "seed": seed},
-        len(drawn),
+        len(drawn) + compared,
         failures,
     )
 

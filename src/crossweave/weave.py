@@ -110,10 +110,10 @@ class Screen:
                     anchors.append((s, cross.value_at(point)))
         return anchors, nearest
 
-    def add(self, cross: CrossFunction) -> None:
+    def add(self, cross: CrossFunction, coordinates: list[Rational]) -> None:
         """Record the new level's line on this axis: its center, first seen
-        here, and the coordinates of its other nonzero anchors."""
-        coordinates, _ = cross.lines[self.axis]
+        here, and `coordinates`, its nonzero anchors' coordinates as
+        `cross.lines` gives them."""
         center = (cross.column_x, cross.row_y)[self.axis]
         self._levels[center] = []
         # floor(log2(1/r)) equals floor(log2(floor(1/r))), as 1/r >= 1
@@ -198,8 +198,9 @@ class WovenFunction:
             if gap is not None:
                 radius = min(radius, gap / 2)
         cross = build_cross(level, center, column, row, radius)
-        for screen in self._screens:
-            screen.add(cross)
+        # `lines` derives both lines on each read, so it is read once
+        for screen, (coordinates, _) in zip(self._screens, cross.lines):
+            screen.add(cross, coordinates)
         self.crosses.append(cross)
         return cross
 

@@ -83,9 +83,14 @@ def test_criterion_6_memoized_tower_matches_naive_recursion(woven512):
     report = check_oracle_equivalence(
         woven512, max_level=64, samples=200, seed=DEFAULT_SEED
     )
-    announce(6, "memoized evaluation equals the independent oracle on 200 points", report.passed)
+    announce(
+        6,
+        "memoized evaluation equals the independent oracle on 200 points and 65 levels",
+        report.passed,
+    )
     assert report.passed, report.text_line()
-    assert report.checked == 200
+    # 200 samples, then levels 0..64 of the oracle, 2n + 1 values and a radius each
+    assert report.checked == 200 + sum(2 * n + 2 for n in range(65))
 
 
 def test_criterion_7_sections_obey_their_lipschitz_bounds(woven512):

@@ -11,7 +11,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossweave.cross_extension import ZERO, base_value, build_cross
@@ -28,6 +28,20 @@ coordinate = st.fractions(
 )
 unit_interval_open = st.fractions(
     min_value=Fraction(0), max_value=Fraction(15, 16), max_denominator=16
+)
+
+
+# A level-2 cross on negative coordinates with mixed denominators, whose
+# zero-valued anchors, at x = -3/8 and y = 3/4, are dropped from its lines.
+# Its row keeps x = -2 (value 1/2) and the center -1 over denominator 1;
+# its column keeps y = -5/2 (value 1/3) and the center -7/3 over 6; the
+# radius is 1/12, half of |-5/2 - (-7/3)|.
+NEGATIVE = (
+    2,
+    (Fraction(-2), Fraction(-3, 8), Fraction(-1)),
+    (Fraction(-5, 2), Fraction(3, 4), Fraction(-7, 3)),
+    (Fraction(1, 3), Fraction(0)),
+    (Fraction(1, 2), Fraction(0)),
 )
 
 
@@ -303,21 +317,49 @@ class TestCrossProperties:
                 crosses[i].value_at((xs[i], ys[n])) for i in range(n)
             )
 
+    @given(cross_instances())
+    @example(NEGATIVE)
+    @settings(max_examples=60, deadline=None)
+    def test_lines_are_the_sorted_nonzero_anchors(self, instance):
+        """`lines` gives back the anchors handed to `build_cross`: on each line
+        the center with value 1 and the anchors of nonzero value, sorted."""
+        _, xs, ys, column_params, row_params = instance
+        cross = build(*instance)
+        for line, coordinates, params in ((0, xs, row_params), (1, ys, column_params)):
+            kept = [(a, v) for a, v in zip(coordinates, params) if v]
+            expected = sorted([(coordinates[-1], ONE), *kept])
+            assert cross.lines[line] == ([a for a, _ in expected], tuple(v for _, v in expected))
+
     @given(cross_instances(), coordinate, coordinate, st.integers(min_value=0))
+    # the row, over denominator 1, at s = -25/24: floor(s) = -2 is an anchor,
+    # yet s lies in the center's tent, at ceil(s) = -1; the column at
+    # t = -29/12, t L = -29/2, exactly r from both of its anchors
+    @example(NEGATIVE, Fraction(-29, 12), Fraction(-25, 24), 0)
+    # t L = -12, an integer, and s = -3/8, a dropped anchor, both above
+    # their line's last nonzero anchor
+    @example(NEGATIVE, Fraction(-2), Fraction(-3, 8), 1)
     @settings(max_examples=80, deadline=None)
     def test_fast_path_matches_reference(self, instance, t, s, pick):
         """Nearest-nonzero-anchor evaluation equals the linear-scan hat times tent.
 
         Besides two free points, each line is evaluated at a + r k/8 for
         k = -9..9 around one of its own nonzero anchors a, which crosses
-        the tent's kinks: its peak, its edges d = r and the zero beyond.
+        the tent's kinks: its peak, its edges d = r and the zero beyond;
+        and at r/2 below its first nonzero anchor and above its last.
         """
         cross = build(*instance)
         anchors, values = reference_data(*instance)
         radius = brute_force_radius(anchors)
-        points = [(cross.column_x, t), (s, cross.row_y)]
-        edges = []
         row, column = (coordinates for coordinates, _ in cross.lines)
+        points = [
+            (cross.column_x, t),
+            (s, cross.row_y),
+            (row[0] - radius / 2, cross.row_y),
+            (row[-1] + radius / 2, cross.row_y),
+            (cross.column_x, column[0] - radius / 2),
+            (cross.column_x, column[-1] + radius / 2),
+        ]
+        edges = []
         around_row = row[pick % len(row)]
         around_column = column[pick % len(column)]
         for k in range(-9, 10):

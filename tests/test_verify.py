@@ -32,6 +32,12 @@ from crossweave.verify import (
 from crossweave.weave import WovenFunction
 
 
+def steeper_hat(x0, y0, point):
+    """A level-0 hat of slope 1001/1000, to stand in for `base_value`."""
+    distance = max(abs(point[0] - x0), abs(point[1] - y0))
+    return max(Fraction(0), 1 - Fraction(1001, 1000) * distance)
+
+
 @pytest.fixture(scope="module")
 def woven():
     instance = WovenFunction()
@@ -67,6 +73,22 @@ class TestOracle:
         report = check_oracle_equivalence(woven, max_level=4, samples=40)
         assert report.passed
         assert report.bounds["samples"] == 40
+
+    def test_equivalence_check_compares_every_derived_level(self):
+        """After its samples, the check compares each derived level's values
+        and radius with the tower's, so a wrong row value fails it although
+        no sampled column point reads it."""
+        tower = WovenFunction()
+        report = check_oracle_equivalence(tower, max_level=6, samples=40)
+        # levels 0..6 derived, 2n + 1 values and one radius each
+        assert report.passed and report.checked == 40 + sum(2 * n + 2 for n in range(7))
+        rows = [list(tower.row_params[n]) for n in range(7)]
+        rows[6][2] = Fraction(1, 3)
+        tower.row_params = rows
+        report = check_oracle_equivalence(tower, max_level=6, samples=40)
+        assert report.failures == [
+            {"level": 6, "entry": 9, "tower": Fraction(1, 3), "oracle": 0}
+        ]
 
     def test_equivalence_check_rejects_deep_cap(self, woven):
         with pytest.raises(Refusal):
@@ -380,14 +402,18 @@ class TestReportsAndDriver:
 
     def test_density_suite_fails_a_steeper_hat(self, monkeypatch):
         """A level-0 hat of slope 1001/1000 misses every target but 0 and 1."""
-
-        def steeper(x0, y0, point):
-            distance = max(abs(point[0] - x0), abs(point[1] - y0))
-            return max(Fraction(0), 1 - Fraction(1001, 1000) * distance)
-
-        monkeypatch.setattr(cross_extension, "base_value", steeper)
+        monkeypatch.setattr(cross_extension, "base_value", steeper_hat)
         [report] = run_suite("density")
         assert not report.passed
         first = report.witnesses[0]
         assert (first["target"], first["value"]) == (Fraction(1, 20), Fraction(981, 20000))
         assert report.checked == 21 and len(report.failures) == 19
+
+    def test_witness_suite_fails_a_steeper_hat(self, monkeypatch):
+        """The same hat maps the midpoint's point to 999/2000, inside (1/4, 3/4)
+        but not the midpoint 1/2; the boxes still pass."""
+        monkeypatch.setattr(cross_extension, "base_value", steeper_hat)
+        [report] = run_suite("witness")
+        assert not report.passed
+        [member] = report.failures
+        assert (member["kind"], member["value"]) == ("member", Fraction(999, 2000))
