@@ -118,14 +118,16 @@ def _grid_rows(args: argparse.Namespace) -> tuple[list[Rational], list[Rational]
     d = args.denominator
     if d < 1:
         raise Refusal("denominator must be at least 1")
-    if args.x_min > args.x_max or args.y_min > args.y_max:
-        raise Refusal("empty range: min exceeds max")
-    # count the cells before building any coordinate list
+    # count the cells before building any coordinate list; an inverted
+    # range has ceil(lo d) > floor(hi d), so it counts no point either
     bounds = [
         (math.ceil(lo * d), math.floor(hi * d) + 1)
         for lo, hi in ((args.x_min, args.x_max), (args.y_min, args.y_max))
     ]
-    cells = math.prod(stop - start for start, stop in bounds)
+    counts = [max(0, stop - start) for start, stop in bounds]
+    if 0 in counts:
+        raise Refusal(f"empty grid: an axis range holds no multiple of 1/{d}")
+    cells = math.prod(counts)
     if cells > args.max_cells:
         raise Refusal(f"grid has {cells} cells, above the cap {args.max_cells}")
     xs, ys = ([Fraction(i, d) for i in range(*bound)] for bound in bounds)

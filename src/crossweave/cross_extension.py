@@ -31,8 +31,8 @@ bisection over that short list.
 
 A line is stored once, in integers: L, the lcm of its anchor coordinates'
 denominators, and each coordinate a as the integer a L, increasing; the
-values stay `Fraction`s.  `CrossFunction.lines` derives the `Fraction`
-coordinates from these on demand, and no other module knows the format.
+values stay `Fraction`s.  `CrossFunction.line` derives one line's
+`Fraction` coordinates from these, and no other module knows the format.
 A point's coordinate t = t_n/t_d is located among the integers at
 ceil(t L), since an integer A is below t L exactly when it is below
 ceil(t L); so the bisection compares integers only.  The rest is integer
@@ -98,18 +98,15 @@ class CrossFunction:
         # values.
         self._lines = lines
 
-    @property
-    def lines(self) -> tuple[tuple[list[Rational], tuple[Rational, ...]], ...]:
-        """The row's and the column's nonzero anchors: their coordinates,
-        increasing, as a new list of `Fraction`s on each read, and their
-        values."""
+    def line(self, axis: int) -> tuple[list[Rational], tuple[Rational, ...]]:
+        """The nonzero anchors of the row (axis 0) or the column (axis 1):
+        their coordinates, increasing, as a new list of `Fraction`s on each
+        call, and their values."""
         # a list, not a tuple: the interpreter keeps up to 2 000 freed tuples
         # of each short length for reuse, and tuples here raised the peak
         # RSS of a 150-level tower's certification by 0.1 MiB
-        return tuple(
-            ([Fraction(a, scale) for a in coordinates], values)
-            for scale, coordinates, values in self._lines
-        )
+        scale, coordinates, values = self._lines[axis]
+        return [Fraction(a, scale) for a in coordinates], values
 
     @property
     def lipschitz_bound(self) -> Rational:

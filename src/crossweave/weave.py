@@ -110,18 +110,20 @@ class Screen:
                     anchors.append((s, cross.value_at(point)))
         return anchors, nearest
 
-    def add(self, cross: CrossFunction, coordinates: list[Rational]) -> None:
+    def add(
+        self, cross: CrossFunction, anchors: list[tuple[Rational, Rational]]
+    ) -> None:
         """Record the new level's line on this axis: its center, first seen
-        here, and `coordinates`, its nonzero anchors' coordinates as
-        `cross.lines` gives them."""
+        here, and `anchors`, the line's other nonzero anchors as the other
+        axis's screen found them; nothing is read back from `cross`."""
         center = (cross.column_x, cross.row_y)[self.axis]
-        self._levels[center] = []
+        self._levels[center] = [cross.level]
         # floor(log2(1/r)) equals floor(log2(floor(1/r))), as 1/r >= 1
         k = (cross.radius.denominator // cross.radius.numerator).bit_length() - 1
         if k not in self._groups:
             self._groups[k] = (Fraction(2, 1 << k), [])
         insort(self._groups[k][1], center)
-        for a in coordinates:
+        for a, _ in anchors:
             self._levels[a].append(cross.level)
 
 
@@ -146,7 +148,7 @@ class ParameterTable:
     def __getitem__(self, level: int) -> tuple[Rational, ...]:
         cross = self._crosses[level]
         params = [ZERO] * cross.level
-        for a, value in zip(*cross.lines[self._axis]):
+        for a, value in zip(*cross.line(self._axis)):
             i = self._level_of[a]
             if i < cross.level:  # the center, at level n itself, is no parameter
                 params[i] = value
@@ -198,9 +200,9 @@ class WovenFunction:
             if gap is not None:
                 radius = min(radius, gap / 2)
         cross = build_cross(level, center, column, row, radius)
-        # `lines` derives both lines on each read, so it is read once
-        for screen, (coordinates, _) in zip(self._screens, cross.lines):
-            screen.add(cross, coordinates)
+        # the row's anchors sit at x-coordinates, the column's at y-coordinates
+        for screen, anchors in zip(self._screens, (row, column)):
+            screen.add(cross, anchors)
         self.crosses.append(cross)
         return cross
 

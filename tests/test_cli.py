@@ -124,6 +124,19 @@ class TestGrid:
         assert len(err.splitlines()) == 1
         assert str(out) in err
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--x-min=1/3", "--x-max=1/3"], ["--y-min=1", "--y-max=0"]],
+        ids=["no-lattice-point", "inverted"],
+    )
+    def test_empty_grid_is_refused(self, capsys, bounds):
+        """A range that holds no multiple of 1/d, an inverted one included,
+        ends with exit 2 and one line, before any output."""
+        code, out, err = run(capsys, "grid", "--denominator", "2", *bounds)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused: empty grid") and err.count("\n") == 1
+
     def test_bad_denominator_is_refused(self, capsys):
         code, _, err = run(capsys, "grid", "--denominator", "0")
         assert code == 2

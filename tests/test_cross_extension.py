@@ -321,14 +321,14 @@ class TestCrossProperties:
     @example(NEGATIVE)
     @settings(max_examples=60, deadline=None)
     def test_lines_are_the_sorted_nonzero_anchors(self, instance):
-        """`lines` gives back the anchors handed to `build_cross`: on each line
+        """`line` gives back the anchors handed to `build_cross`: on each line
         the center with value 1 and the anchors of nonzero value, sorted."""
         _, xs, ys, column_params, row_params = instance
         cross = build(*instance)
-        for line, coordinates, params in ((0, xs, row_params), (1, ys, column_params)):
+        for axis, coordinates, params in ((0, xs, row_params), (1, ys, column_params)):
             kept = [(a, v) for a, v in zip(coordinates, params) if v]
             expected = sorted([(coordinates[-1], ONE), *kept])
-            assert cross.lines[line] == ([a for a, _ in expected], tuple(v for _, v in expected))
+            assert cross.line(axis) == ([a for a, _ in expected], tuple(v for _, v in expected))
 
     @given(cross_instances(), coordinate, coordinate, st.integers(min_value=0))
     # the row, over denominator 1, at s = -25/24: floor(s) = -2 is an anchor,
@@ -350,7 +350,7 @@ class TestCrossProperties:
         cross = build(*instance)
         anchors, values = reference_data(*instance)
         radius = brute_force_radius(anchors)
-        row, column = (coordinates for coordinates, _ in cross.lines)
+        row, column = (cross.line(axis)[0] for axis in (0, 1))
         points = [
             (cross.column_x, t),
             (s, cross.row_y),
@@ -405,7 +405,7 @@ class TestTentValues:
         for cross in tower.crosses:
             r = cross.radius
             offsets = (0, -r / 3, r / 3, -r / 2, r / 2, -r, r)
-            row, column = (coordinates for coordinates, _ in cross.lines)
+            row, column = (cross.line(axis)[0] for axis in (0, 1))
             for a in row:
                 values += [cross.value_at((a + o, cross.row_y)) for o in offsets]
             for a in column:

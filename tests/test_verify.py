@@ -94,6 +94,14 @@ class TestOracle:
         with pytest.raises(Refusal):
             check_oracle_equivalence(woven, max_level=MAX_ORACLE_LEVEL + 1, samples=1)
 
+    def test_equivalence_check_refuses_a_negative_level(self, woven):
+        """A negative `max_level` is a refusal, as in `oracle_eval`, not a
+        fault from drawing a level out of an empty range."""
+        with pytest.raises(Refusal, match=f"0..{MAX_ORACLE_LEVEL}"):
+            check_oracle_equivalence(woven, max_level=-1, samples=1)
+        with pytest.raises(Refusal):
+            oracle_eval(woven.pairing, Fraction(0), Fraction(0), max_level=-1)
+
     def test_rederives_parameter_tables_above_the_old_cap(self, woven):
         """The oracle re-derives both parameter tables of levels 13..20 exactly."""
         pairing = woven.pairing
@@ -155,6 +163,19 @@ class TestBasicChecks:
         assert not report.passed
         witness = report.witnesses[0]
         assert witness["by_column"] != witness["by_row"]
+
+    def test_welldefined_catches_a_shifted_row(self):
+        broken = WovenFunction()
+        broken.build_to(2)
+        # shifting level 2 by a constant keeps its slopes, but its row no
+        # longer matches the columns of levels 0 and 1 where it meets them
+        value_at = broken.crosses[2].value_at
+        broken.crosses[2].value_at = lambda point: value_at(point) + Fraction(1, 8)
+        report = check_welldefined(broken, 3, 3)
+        assert not report.passed
+        witness = report.witnesses[0]
+        assert (witness["column_level"], witness["row_level"]) == (0, 2)
+        assert witness["by_row"] - witness["by_column"] == Fraction(1, 8)
 
 
 class TestImageDensity:
@@ -264,20 +285,6 @@ class TestSectionContinuity:
         found = {(w["level"], w["kind"]) for w in report.witnesses}
         assert found == {(0, "column"), (0, "row")}
 
-    def test_a_broken_row_spot_check_fails(self):
-        broken = WovenFunction()
-        broken.build_to(2)
-        # shifting level 2 by a constant keeps its slopes, but its row no
-        # longer matches the columns of levels 0 and 1 where it meets them
-        value_at = broken.crosses[2].value_at
-        broken.crosses[2].value_at = lambda point: value_at(point) + Fraction(1, 8)
-        report = check_sections(broken, levels=3, samples_per_kind=10)
-        assert not report.passed
-        witness = report.witnesses[0]
-        assert (witness["level"], witness["kind"]) == (2, "row")
-        assert witness["spot_level"] in (0, 1)
-        assert witness["cross"] - witness["public"] == Fraction(1, 8)
-
     def test_points_depend_on_the_arguments_alone(self, monkeypatch):
         """A tower built deeper beforehand gets the same report from the same
         evaluations, in the same order, as a fresh one."""
@@ -309,7 +316,7 @@ class TestSectionContinuity:
             assert report.passed, report.witnesses
             sequences.append((report.to_dict(), list(calls)))
         assert sequences[0] == sequences[1]
-        assert len(sequences[0][1]) > 24 * 2 * 2 * 40
+        assert len(sequences[0][1]) == 24 * 2 * 2 * 40
 
 
 class TestNothingExaminedFails:
@@ -342,7 +349,7 @@ class TestNothingExaminedFails:
             assert report.bounds == {"levels": 0}
 
     def test_sections_without_samples(self, woven):
-        """The row spot checks run, but only sampled pairs are counted."""
+        """Only sampled pairs are counted, so levels without samples fail."""
         report = check_sections(woven, levels=2, samples_per_kind=0)
         assert report.checked == 0 and not report.passed
 
