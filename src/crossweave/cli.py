@@ -3,8 +3,8 @@
 Exact values are always printed in the canonical "p/q" form; decimal output
 is advisory (20 significant digits, round to nearest) and clearly labeled.
 Exit codes: 0 all good, 1 a verification check failed, 2 usage error or
-refusal (unparseable rational, unwritable output file, oversized grid,
-level cap exceeded).
+refusal (unparseable rational, unwritable output, oversized grid, level cap
+exceeded).
 
 Levels grow with the enumeration index of the x-coordinate, and that index
 is exponential in the continued-fraction runs of the value, so evaluating at
@@ -17,9 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import IO
+from typing import IO, Iterator
 
 from .pairing import Pairing, Refusal
 from .rationals import Rational, decimal_approx, format_rational, parse_rational
@@ -100,17 +102,33 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the suite's canonical scale; refused with --suite all",
     )
-    cmd_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    cmd_verify.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help="seed of the oracle's sample points"
+    )
     cmd_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
 
+@contextmanager
+def _stdout() -> Iterator[None]:
+    """Refuse a failed write to stdout, then point it at os.devnull, as the
+    Python docs' note on SIGPIPE does, so the flush at exit cannot fail."""
+    try:
+        yield
+        sys.stdout.flush()
+    except OSError as error:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise Refusal(f"cannot write stdout: {error.strerror}") from None
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     value = WovenFunction().value(args.x, args.y, max_level=args.max_level)
-    print(format_rational(value))
-    if args.decimal:
-        print(f"decimal: {decimal_approx(value)}")
+    with _stdout():
+        print(format_rational(value))
+        if args.decimal:
+            print(f"decimal: {decimal_approx(value)}")
     return 0
 
 
@@ -152,14 +170,14 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                 )
 
     if args.out is None:
-        emit(sys.stdout)
+        with _stdout():
+            emit(sys.stdout)
         return 0
     try:
-        stream = open(args.out, "w", encoding="ascii", newline="\n")
+        with open(args.out, "w", encoding="ascii", newline="\n") as stream:
+            emit(stream)
     except OSError as error:
         raise Refusal(f"cannot write {args.out}: {error.strerror}") from None
-    with stream:
-        emit(stream)
     return 0
 
 
@@ -168,30 +186,32 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
         raise Refusal("count must be nonnegative")
     pairing = Pairing()
     pairing.extend(args.count)
-    if args.json:
-        # the layout of json.dumps(..., indent=2), written directly: that call
-        # takes the slow pure-Python encoder, and "p/q" text needs no escaping
-        objects = [
-            f'  {{\n    "n": {n},\n    "x": "{format_rational(x)}",\n'
-            f'    "y": "{format_rational(y)}"\n  }}'
-            for n, (x, y) in enumerate(pairing.pairs)
-        ]
-        print("[\n" + ",\n".join(objects) + "\n]" if objects else "[]")
-    else:
-        for n, (x, y) in enumerate(pairing.pairs):
-            print(f"{n} {format_rational(x)} {format_rational(y)}")
+    with _stdout():
+        if args.json:
+            # the layout of json.dumps(..., indent=2), written directly: that call
+            # takes the slow pure-Python encoder, and "p/q" text needs no escaping
+            objects = [
+                f'  {{\n    "n": {n},\n    "x": "{format_rational(x)}",\n'
+                f'    "y": "{format_rational(y)}"\n  }}'
+                for n, (x, y) in enumerate(pairing.pairs)
+            ]
+            print("[\n" + ",\n".join(objects) + "\n]" if objects else "[]")
+        else:
+            for n, (x, y) in enumerate(pairing.pairs):
+                print(f"{n} {format_rational(x)} {format_rational(y)}")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_suite(args.suite, depth=args.depth, seed=args.seed)
-    if args.format == "json":
-        print(json.dumps([report.to_dict() for report in reports], indent=2))
-    else:
-        for report in reports:
-            print(report.text_line())
-        passed = sum(report.passed for report in reports)
-        print(f"{passed}/{len(reports)} checks passed")
+    with _stdout():
+        if args.format == "json":
+            print(json.dumps([report.to_dict() for report in reports], indent=2))
+        else:
+            for report in reports:
+                print(report.text_line())
+            passed = sum(report.passed for report in reports)
+            print(f"{passed}/{len(reports)} checks passed")
     return 0 if all(report.passed for report in reports) else 1
 
 

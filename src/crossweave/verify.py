@@ -22,8 +22,8 @@ The checks deliberately re-derive what they test through independent routes:
 * `check_welldefined` compares the defining column route against the row
   route that the construction must make equivalent, and is the only check
   of that agreement.
-* `check_sections` samples both lines of each level, its column and its
-  row, through the level's cross against its Lipschitz bound.
+* `check_sections` certifies both lines of each level against its
+  Lipschitz bound at every point, from five values per tent.
 * `nonfeeble_witness` certifies that a value interval strictly between the
   diagonal value 1 and some attained value pulls back to a set with empty
   interior at box scale K: every basic box holds a diagonal point mapping
@@ -360,64 +360,47 @@ def nonfeeble_witness(
 
 
 def check_sections(
-    woven: WovenFunction,
-    levels: int = 64,
-    samples_per_kind: int = 500,
-    seed: int = DEFAULT_SEED,
+    woven: WovenFunction, levels: int = 512, samples_per_kind: int = 0, seed: int = 0
 ) -> Report:
-    """Random point pairs on both lines of every level below `levels` must
-    respect the level's Lipschitz bound.
+    """Both lines of every level below `levels` obey its Lipschitz bound at
+    every point; counts the half tents examined.
 
-    Each line is its level's cross restricted to it, and is sampled there
-    through the cross alone.  The column is the definition's own route; the
-    row is a section of the global function because the two routes agree,
-    which `check_welldefined` certifies.  The points are drawn from the
-    arguments alone, so a tower built deeper beforehand is examined at the
-    same points.  A pair with equal values meets any bound and is not
-    compared further.  Counts the sampled pairs.
+    Premise, certified by the oracle's samples and the tent digest of
+    `test_values_around_every_nonzero_anchor`: a line is 0 outside its
+    nonzero anchors' tents, and within radius r of an anchor of value v it
+    is v (1 - d)(1 - d/r) in the distance d (the bare hat, r = 1, at level
+    0).  So at each anchor a of `cross.line` the cross must give v, in
+    (0, 1], and 0 at a +- r; a quadratic's slope is linear, so each half
+    tent's two end slopes, exact from its values at a, a +- r/2 and a +- r,
+    must lie within the bound; and the next anchor must be 2r or more away.
+    `samples_per_kind` and `seed` are ignored; the benchmark passes them.
     """
-    rng = random.Random(seed)
+    woven.build_to(levels - 1)
     failures = []
-    sampled = 0
-    worst_bound = ONE
+    halves = 0
     for level in range(levels):
-        woven.build_to(level)
         cross = woven.cross(level)
-        bound = cross.lipschitz_bound
-        worst_bound = max(worst_bound, bound)
-        for axis, kind in enumerate(("column", "row")):
-            fixed = woven.pairing.pairs[level][axis]
-            # a witness names the fixed coordinate and the two free ones
-            fixed_name, free_name = ("x", "y") if axis == 0 else ("y", "x")
-            for _ in range(samples_per_kind):
-                sampled += 1
-                t_a, t_b = random_rational(rng), random_rational(rng)
-                value_a, value_b = (
-                    cross.value_at((fixed, t) if axis == 0 else (t, fixed))
-                    for t in (t_a, t_b)
-                )
-                # equal values (mostly both 0) meet any nonnegative bound
-                if value_a != value_b and (
-                    abs(value_a - value_b) > bound * abs(t_a - t_b)
-                ):
-                    failures.append(
-                        {
-                            fixed_name: fixed,
-                            f"{free_name}_a": t_a,
-                            f"{free_name}_b": t_b,
-                            "value_a": value_a,
-                            "value_b": value_b,
-                            "level": level,
-                            "kind": kind,
-                        }
-                    )
-    bounds = {
-        "levels": levels,
-        "samples_per_kind": samples_per_kind,
-        "seed": seed,
-        "largest_lipschitz": worst_bound,
-    }
-    return Report("section_lipschitz", bounds, sampled, failures)
+        r, bound = cross.radius, cross.lipschitz_bound
+        for axis, kind in enumerate(("row", "column")):
+            anchors, values = cross.line(axis)
+            for i, (a, v) in enumerate(zip(anchors, values)):
+                where = {"level": level, "kind": kind, "anchor": a}
+                tent = [
+                    cross.value_at((t, cross.row_y) if axis == 0 else (cross.column_x, t))
+                    for t in (a - r, a - r / 2, a, a + r / 2, a + r)
+                ]
+                if not (ZERO < v <= ONE and tent[2] == v and tent[0] == tent[4] == ZERO):
+                    failures.append({**where, "value": v, "tent": tent})
+                for p0, p1, p2 in (tent[:3], tent[2:]):
+                    halves += 1
+                    slopes = ((4 * p1 - 3 * p0 - p2) / r, (p0 - 4 * p1 + 3 * p2) / r)
+                    if max(map(abs, slopes)) > bound:
+                        failures.append({**where, "slopes": slopes})
+                if i + 1 < len(anchors) and anchors[i + 1] - a < 2 * r:
+                    failures.append({**where, "next": anchors[i + 1], "radius": r})
+    largest = max((woven.cross(n).lipschitz_bound for n in range(levels)), default=ONE)
+    bounds = {"levels": levels, "largest_lipschitz": largest}
+    return Report("section_lipschitz", bounds, halves, failures)
 
 
 def check_oracle_equivalence(
@@ -479,10 +462,7 @@ SUITES = {
     "welldef": (128, lambda woven, depth, seed: check_welldefined(woven, depth, depth)),
     "density": (20, lambda woven, depth, seed: check_image_density(woven, pitch=depth)),
     "witness": (50, lambda woven, depth, seed: nonfeeble_witness(woven, boxes=depth)),
-    "lipschitz": (
-        64,
-        lambda woven, depth, seed: check_sections(woven, levels=depth, seed=seed),
-    ),
+    "lipschitz": (512, lambda woven, depth, seed: check_sections(woven, depth)),
     "oracle": (
         64,
         lambda woven, depth, seed: check_oracle_equivalence(

@@ -94,10 +94,10 @@ def test_criterion_6_memoized_tower_matches_naive_recursion(woven512):
 
 
 def test_criterion_7_sections_obey_their_lipschitz_bounds(woven512):
-    report = check_sections(woven512, levels=64, samples_per_kind=500, seed=DEFAULT_SEED)
-    announce(7, "1000 sampled same-section pairs per level respect the bound", report.passed)
+    report = check_sections(woven512, levels=512)
+    announce(7, "both lines of 512 levels respect the bound, tent by tent", report.passed)
     assert report.passed, report.text_line()
-    assert report.checked == 64_000
+    assert report.checked == 6694
 
 
 def test_criterion_8_pairing_saturates_the_plane():

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -277,6 +282,75 @@ class TestVerify:
             cli.main(["verify", "--suite", "lipschitz", "--depth", "2"])
         assert type(excinfo.value) is ValueError
         assert "refused" not in capsys.readouterr().err
+
+
+class TestOutputs:
+    """The output contract: the CI's pinned outputs, and writes that fail."""
+
+    def test_outputs_match_their_digests(self, capsys, tmp_path):
+        """The CI's argv for four of the outputs that tests/outputs.sha256
+        pins, run in process; verify-all.json stays in CI, as it takes about
+        4 s."""
+        lines = Path(__file__).with_name("outputs.sha256").read_text().splitlines()
+        pinned = {name: digest for digest, name in (line.split() for line in lines)}
+        outputs = {}
+        negative = ["--x-min=-1", "--x-max=0", "--y-min=-1", "--y-max=0"]
+        for name, bounds in (("grid8.csv", []), ("grid8-negative.csv", negative)):
+            out = tmp_path / name
+            assert cli.main(["grid", "--denominator", "8", *bounds, "--out", str(out)]) == 0
+            outputs[name] = out.read_bytes()
+        assert cli.main(["pairs", "--count", "40000", "--json"]) == 0
+        outputs["pairs40000.json"] = capsys.readouterr().out.encode("ascii")
+        tent = [("18/13", y) for y in ("1093/1092", "1637/1638", "547/546")]
+        tent += [("-16/23", y) for y in ("-9991/14280", "-14999/21420", "-4993/7140")]
+        for x, y in tent:
+            assert cli.main(["eval", "--decimal", f"--x={x}", f"--y={y}"]) == 0
+        outputs["eval-tent.txt"] = capsys.readouterr().out.encode("ascii")
+        assert set(pinned) == {*outputs, "verify-all.json"}
+        for name, data in outputs.items():
+            assert hashlib.sha256(data).hexdigest() == pinned[name], name
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    def test_a_full_device_is_refused(self, capsys):
+        code, out, err = run(capsys, "grid", "--denominator", "8", "--out", "/dev/full")
+        assert code == 2
+        assert out == ""
+        assert err == "refused: cannot write /dev/full: No space left on device\n"
+
+    def test_a_broken_pipe_is_refused(self, capsys, monkeypatch, tmp_path):
+        """A stdout whose reader has gone ends in exit 2 and one line, and is
+        then pointed at os.devnull, so the flush at exit has nothing to fail."""
+
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return descriptor
+
+        descriptor = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", BrokenPipe())
+            assert cli.main(["pairs", "--count", "3"]) == 2
+            assert os.path.samestat(os.fstat(descriptor), os.stat(os.devnull))
+        finally:
+            os.close(descriptor)
+        assert capsys.readouterr().err == "refused: cannot write stdout: Broken pipe\n"
+
+    def test_a_closed_pipe_ends_in_one_line(self):
+        """In a real process: a reader that leaves after one line gets exit 2
+        and one line on stderr, with no second message at exit."""
+        source = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(source)}
+        command = [sys.executable, "-m", "crossweave.cli", "pairs", "--count", "20000"]
+        with subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as child:
+            assert child.stdout.readline() == b"0 0/1 0/1\n"
+            child.stdout.close()
+            err = child.stderr.read().decode()
+        assert child.returncode == 2
+        assert err == "refused: cannot write stdout: Broken pipe\n"
 
 
 def optional(flag, values):

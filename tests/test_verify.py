@@ -246,7 +246,7 @@ class TestSectionContinuity:
         assert gap <= woven.cross(1).lipschitz_bound * Fraction(1, 4)
 
     def test_column_sections(self, woven):
-        report = check_sections(woven, levels=6, samples_per_kind=60)
+        report = check_sections(woven, levels=6)
         assert report.passed, report.witnesses
         assert report.bounds["levels"] == 6
         # the column is the definition's route: on the columns of levels
@@ -259,7 +259,7 @@ class TestSectionContinuity:
                 assert woven.value(x, y) == woven.cross(level).value_at((x, y))
 
     def test_row_sections(self, woven):
-        report = check_sections(woven, levels=8, samples_per_kind=60)
+        report = check_sections(woven, levels=8)
         assert report.passed, report.witnesses
         assert report.bounds["levels"] == 8
         # on the rows of levels 0, 2 and 7 the public evaluator agrees with
@@ -271,7 +271,7 @@ class TestSectionContinuity:
                 assert woven.value(x, y) == woven.cross(level).value_at((x, y))
 
     def test_aggregate(self, woven):
-        report = check_sections(woven, levels=6, samples_per_kind=40)
+        report = check_sections(woven, levels=6)
         assert report.passed
         assert report.bounds["largest_lipschitz"] >= 3
 
@@ -280,14 +280,30 @@ class TestSectionContinuity:
         broken.build_to(0)
         # the level-0 hat has slope 1 on both of its lines
         monkeypatch.setattr(CrossFunction, "lipschitz_bound", Fraction(0))
-        report = check_sections(broken, levels=1, samples_per_kind=10)
+        report = check_sections(broken, levels=1)
         assert not report.passed
         found = {(w["level"], w["kind"]) for w in report.witnesses}
         assert found == {(0, "column"), (0, "row")}
 
+    def test_overlapping_tents_fail(self):
+        """Level 2's lines each hold the anchor 0, value 1/2, and the center
+        1/2, value 1: a gap of 1/2, so a radius of 1/2 overlaps the tents."""
+        broken = WovenFunction()
+        broken.build_to(2)
+        center = broken.pairing.pairs[2]
+        assert center == (Fraction(1, 2), Fraction(1, 2))
+        anchors = [(Fraction(0), Fraction(1, 2))]
+        broken.crosses[2] = build_cross(2, center, anchors, anchors, Fraction(1, 2))
+        report = check_sections(broken, levels=3)
+        assert not report.passed
+        gaps = [w for w in report.failures if "next" in w]
+        assert {(w["level"], w["kind"]) for w in gaps} == {(2, "column"), (2, "row")}
+        assert all(w["next"] - w["anchor"] < 2 * w["radius"] for w in gaps)
+
     def test_points_depend_on_the_arguments_alone(self, monkeypatch):
         """A tower built deeper beforehand gets the same report from the same
-        evaluations, in the same order, as a fresh one."""
+        evaluations, in the same order, as a fresh one: five per nonzero
+        anchor of each line, at a, a +- r/2 and a +- r."""
         calls = []
         building = []
         value_at, build_level = CrossFunction.value_at, WovenFunction.build_level
@@ -312,11 +328,14 @@ class TestSectionContinuity:
         sequences = []
         for tower in (WovenFunction(), prebuilt):
             calls.clear()
-            report = check_sections(tower, levels=24, samples_per_kind=40)
+            report = check_sections(tower, levels=24)
             assert report.passed, report.witnesses
             sequences.append((report.to_dict(), list(calls)))
         assert sequences[0] == sequences[1]
-        assert len(sequences[0][1]) == 24 * 2 * 2 * 40
+        lines = [prebuilt.cross(n).line(axis)[0] for n in range(24) for axis in (0, 1)]
+        anchors = sum(map(len, lines))
+        assert len(sequences[0][1]) == 5 * anchors
+        assert sequences[0][0]["checked"] == 2 * anchors
 
 
 class TestNothingExaminedFails:
@@ -347,11 +366,6 @@ class TestNothingExaminedFails:
             assert not report.passed
             assert report.witnesses == []
             assert report.bounds == {"levels": 0}
-
-    def test_sections_without_samples(self, woven):
-        """Only sampled pairs are counted, so levels without samples fail."""
-        report = check_sections(woven, levels=2, samples_per_kind=0)
-        assert report.checked == 0 and not report.passed
 
     @pytest.mark.parametrize("boxes", [0, -1])
     def test_nonfeeble_without_boxes(self, woven, boxes):
@@ -415,6 +429,22 @@ class TestReportsAndDriver:
         first = report.witnesses[0]
         assert (first["target"], first["value"]) == (Fraction(1, 20), Fraction(981, 20000))
         assert report.checked == 21 and len(report.failures) == 19
+
+    def test_lipschitz_suite_fails_a_steeper_hat(self, monkeypatch):
+        """The same hat reaches 0 before distance 1, so each half of its
+        level-0 tent, read at 0, 1/2 and 1, has an end slope of 501/500."""
+        monkeypatch.setattr(cross_extension, "base_value", steeper_hat)
+        [report] = run_suite("lipschitz")
+        assert not report.passed
+        slopes = {(w["level"], w["kind"], tuple(w["slopes"])) for w in report.failures}
+        assert slopes == {
+            (0, kind, half)
+            for kind in ("column", "row")
+            for half in (
+                (Fraction(499, 500), Fraction(501, 500)),
+                (Fraction(-501, 500), Fraction(-499, 500)),
+            )
+        }
 
     def test_witness_suite_fails_a_steeper_hat(self, monkeypatch):
         """The same hat maps the midpoint's point to 999/2000, inside (1/4, 3/4)
