@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth",
         type=int,
         default=None,
-        help="override the suite's canonical scale; refused with --suite all",
+        help="override the suite's canonical scale, up to the suite's maximum; "
+        "refused with --suite all",
     )
     cmd_verify.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help="seed of the oracle's sample points"

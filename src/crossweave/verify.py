@@ -453,18 +453,20 @@ def check_oracle_equivalence(
 
 # -- suite driver ------------------------------------------------------------
 
-# suite name -> (canonical depth, the check at a depth and seed); each check
-# is looked up by its module name when it runs, so a wrapped or replaced
-# check takes effect
+# suite name -> (canonical depth, maximum depth, the check at a depth and
+# seed); each maximum runs in under about 30 s on a 2-core Xeon VM, and each
+# check is looked up by its module name when it runs, so a wrapped or
+# replaced check takes effect
 SUITES = {
-    "singleton": (512, lambda woven, depth, seed: check_singleton_image(woven, depth)),
-    "range": (512, lambda woven, depth, seed: check_parameter_range(woven, depth)),
-    "welldef": (128, lambda woven, depth, seed: check_welldefined(woven, depth, depth)),
-    "density": (20, lambda woven, depth, seed: check_image_density(woven, pitch=depth)),
-    "witness": (50, lambda woven, depth, seed: nonfeeble_witness(woven, boxes=depth)),
-    "lipschitz": (512, lambda woven, depth, seed: check_sections(woven, depth)),
+    "singleton": (512, 16384, lambda woven, depth, seed: check_singleton_image(woven, depth)),
+    "range": (512, 2048, lambda woven, depth, seed: check_parameter_range(woven, depth)),
+    "welldef": (128, 1024, lambda woven, depth, seed: check_welldefined(woven, depth, depth)),
+    "density": (20, 10**5, lambda woven, depth, seed: check_image_density(woven, pitch=depth)),
+    "witness": (50, 4096, lambda woven, depth, seed: nonfeeble_witness(woven, boxes=depth)),
+    "lipschitz": (512, 16384, lambda woven, depth, seed: check_sections(woven, depth)),
     "oracle": (
         64,
+        MAX_ORACLE_LEVEL,
         lambda woven, depth, seed: check_oracle_equivalence(
             woven, max_level=depth, seed=seed
         ),
@@ -481,18 +483,18 @@ def run_suite(
 
     `depth` overrides the canonical scale of a single suite; its meaning is
     suite-specific (levels, grid side, pitch, boxes, or oracle level cap).
-    An unknown suite, a depth given with "all", a depth below 1 and an
-    oracle depth above `MAX_ORACLE_LEVEL` raise `Refusal`.
+    An unknown suite, a depth given with "all", and a depth below 1 or
+    above the suite's maximum raise `Refusal` before any work.
     """
     if suite not in SUITE_NAMES:
         raise Refusal(f"unknown suite: {suite}")
     if suite == "all" and depth is not None:
         raise Refusal("a depth applies to a single suite, not to all")
-    if depth is not None and depth < 1:
-        raise Refusal(f"depth must be at least 1, got {depth}")
+    if depth is not None and not 1 <= depth <= SUITES[suite][1]:
+        raise Refusal(f"{suite} depth must lie in 1..{SUITES[suite][1]}, got {depth}")
     woven = WovenFunction()
     selected = SUITES if suite == "all" else {suite: SUITES[suite]}
     return [
         check(woven, canonical if depth is None else depth, seed)
-        for canonical, check in selected.values()
+        for canonical, _, check in selected.values()
     ]

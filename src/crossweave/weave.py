@@ -31,23 +31,20 @@ and measures g_n in the same pass.  Level i's value at a point of one of its
 lines is nonzero exactly when a nonzero anchor of that line lies within the
 radius r_i of the point.  Since the radius never grows, at distance d from
 an anchor a the levels that reach the point are a prefix of the increasing
-levels with a nonzero anchor at a, those with r_i > d, and every one of
-them is nonzero.  Building a level then evaluates each of its nonzero
-parameters once, by one bisection over the few nonzero anchors of an
-earlier line, plus one bisection per radius scale and axis for the screen.
-The new cross stores those anchors, and nothing else records the
-parameters: `column_params` and `row_params` fill in the zeros on demand,
-so memory grows with the levels plus the nonzero parameters.  The
-prescribed values always land in [0, 1): the point (x_k, y_i) is never an
-anchor of the earlier F_i, and off its anchors a hat-tent product stays
-strictly below 1.
+levels with a nonzero anchor at a, those with r_i > d, and every one of them
+is nonzero.  Building a level then evaluates each of its nonzero parameters
+once, by one bisection over the few nonzero anchors of an earlier line, plus
+three dict probes per radius scale and axis for the screen.  The new cross
+stores those anchors, and nothing else records the parameters:
+`column_params` and `row_params` fill in the zeros on demand, so memory
+grows with the levels plus the nonzero parameters.  The prescribed values
+always land in [0, 1): the point (x_k, y_i) is never an anchor of the
+earlier F_i, and off its anchors a hat-tent product stays strictly below 1.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from fractions import Fraction
-from itertools import islice
 
 from .cross_extension import ONE, ZERO, CrossFunction, build_cross
 from .pairing import Pairing
@@ -63,68 +60,80 @@ class Screen:
     coordinate a maps to the increasing levels with a nonzero anchor at a on
     that line.  The first is the level whose center is a, and it has the
     largest radius of them, since radii never grow.  The coordinates are
-    grouped by k = floor(log2(1/r)) of their first level's radius r, each
-    group sorted; these groups are the axis's only list of its coordinates.
+    grouped by k = floor(log2(1/r)) of their first level's radius r, and
+    bucketed within group k by floor(a / 2^(1-k)); these buckets are the
+    axis's only index of its coordinates.
     """
 
     def __init__(self, axis: int) -> None:
         self.axis = axis
-        self._levels: dict[Rational, list[int]] = {}
-        self._groups: dict[int, tuple[Rational, list[Rational]]] = {}
+        # per level, the levels with a nonzero anchor at its center
+        self._levels: list[list[int]] = []
+        # k -> bucket -> its newest coordinate a = a_n/a_d as (a_n, a_d,
+        # the levels at a, the bucket's previous entry or None)
+        self._groups: dict[int, dict[int, tuple]] = {}
 
     def prescribed(
         self, t: Rational, crosses: list[CrossFunction]
-    ) -> tuple[list[tuple[Rational, Rational]], Rational | None]:
+    ) -> tuple[list[tuple[Rational, Rational]], list[int], Rational | None]:
         """The earlier levels' nonzero values on their lines at coordinate t,
         each with its level's other center coordinate, where it anchors the
-        new level's crossing line, and the nearest distance from t to a
-        coordinate seen (None if none was).
+        new level's crossing line; those levels, in order; and the nearest
+        distance from t to a coordinate within its group's reach, or None.
 
         Group k, whose coordinates' first levels have radii r_a in
-        (2^-(k+1), 2^-k], is scanned within 2^(1-k) of t.  That window holds
-        every point a level of the group reaches, within r_a of a.  Since
-        radii never grow, it also holds every coordinate closer to t than
-        2 r_{n-1} <= 2 r_a, the only ones that can lower the new radius
-        min(r_{n-1}, g_n / 2); so the nearest distance returned is g_n
-        whenever g_n / 2 < r_{n-1}.  A coordinate at distance 0 is refused.
+        (2^-(k+1), 2^-k], is scanned within the reach w = 2^(1-k) of t.
+        That window holds every point a level of the group reaches, within
+        r_a of a.  Since radii never grow, it also holds every coordinate
+        closer to t than 2 r_{n-1} <= 2 r_a, the only ones that can lower
+        the new radius min(r_{n-1}, g_n / 2); so the nearest distance
+        returned is g_n whenever g_n / 2 < r_{n-1}.  Bucket b holds the
+        group's coordinates in [b w, (b + 1) w), so if t is in bucket c, its
+        window (t - w, t + w) lies in [(c - 1) w, (c + 2) w): buckets c - 1,
+        c and c + 1.  The tests compare d = d_n/d_d, not reduced, by integer
+        cross-multiplication, and refuse a coordinate at distance 0.
         """
-        anchors = []
-        nearest = None
-        for reach, coordinates in self._groups.values():
-            pos = bisect_left(coordinates, t - reach)
-            for a in islice(coordinates, pos, None):
-                d = a - t
-                if d >= reach:
-                    break
-                d = abs(d)
-                if not d:
-                    raise ValueError("coordinates must be pairwise distinct per axis")
-                if nearest is None or d < nearest:
-                    nearest = d
-                for level in self._levels[a]:
-                    cross = crosses[level]
-                    if d >= cross.radius:
-                        break
-                    s = (cross.column_x, cross.row_y)[1 - self.axis]
-                    point = (t, s) if self.axis == 0 else (s, t)
-                    anchors.append((s, cross.value_at(point)))
-        return anchors, nearest
+        t_n, t_d = t.as_integer_ratio()
+        anchors, found = [], []
+        near_n = near_d = None
+        for k, buckets in self._groups.items():
+            cell = (t_n << k) // (t_d << 1)
+            for b in (cell - 1, cell, cell + 1):
+                entry = buckets.get(b)
+                while entry:
+                    a_n, a_d, levels, entry = entry
+                    d_n, d_d = abs(a_n * t_d - t_n * a_d), a_d * t_d
+                    if d_n << k >= d_d << 1:  # d >= w
+                        continue
+                    if not d_n:
+                        raise ValueError("coordinates must be pairwise distinct per axis")
+                    if near_n is None or d_n * near_d < near_n * d_d:
+                        near_n, near_d = d_n, d_d
+                    for level in levels:
+                        cross = crosses[level]
+                        r_n, r_d = cross.radius.as_integer_ratio()
+                        if d_n * r_d >= r_n * d_d:  # d >= r
+                            break
+                        s = (cross.column_x, cross.row_y)[1 - self.axis]
+                        point = (t, s) if self.axis == 0 else (s, t)
+                        anchors.append((s, cross.value_at(point)))
+                        found.append(level)
+        return anchors, found, None if near_n is None else Fraction(near_n, near_d)
 
-    def add(
-        self, cross: CrossFunction, anchors: list[tuple[Rational, Rational]]
-    ) -> None:
+    def add(self, cross: CrossFunction, found: list[int]) -> None:
         """Record the new level's line on this axis: its center, first seen
-        here, and `anchors`, the line's other nonzero anchors as the other
-        axis's screen found them; nothing is read back from `cross`."""
+        here, and `found`, the levels of its other nonzero anchors as the
+        other axis's screen found them, each anchor the center of its level."""
         center = (cross.column_x, cross.row_y)[self.axis]
-        self._levels[center] = [cross.level]
+        self._levels.append([cross.level])
         # floor(log2(1/r)) equals floor(log2(floor(1/r))), as 1/r >= 1
         k = (cross.radius.denominator // cross.radius.numerator).bit_length() - 1
-        if k not in self._groups:
-            self._groups[k] = (Fraction(2, 1 << k), [])
-        insort(self._groups[k][1], center)
-        for a, _ in anchors:
-            self._levels[a].append(cross.level)
+        a_n, a_d = center.as_integer_ratio()
+        buckets = self._groups.setdefault(k, {})
+        b = (a_n << k) // (a_d << 1)
+        buckets[b] = (a_n, a_d, self._levels[-1], buckets.get(b))
+        for level in found:
+            self._levels[level].append(cross.level)
 
 
 class ParameterTable:
@@ -191,7 +200,7 @@ class WovenFunction:
         self.pairing.ensure_length(level + 1)
         center = self.pairing.pairs[level]
         # the new column meets the earlier rows, screened by x, and vice versa
-        (column, x_gap), (row, y_gap) = (
+        (column, x_found, x_gap), (row, y_found, y_gap) = (
             screen.prescribed(t, self.crosses) for screen, t in zip(self._screens, center)
         )
         # the running minimum r_n = min(r_{n-1}, g_n / 2), from r_0 = 1
@@ -201,8 +210,8 @@ class WovenFunction:
                 radius = min(radius, gap / 2)
         cross = build_cross(level, center, column, row, radius)
         # the row's anchors sit at x-coordinates, the column's at y-coordinates
-        for screen, anchors in zip(self._screens, (row, column)):
-            screen.add(cross, anchors)
+        for screen, found in zip(self._screens, (y_found, x_found)):
+            screen.add(cross, found)
         self.crosses.append(cross)
         return cross
 

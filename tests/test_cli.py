@@ -260,6 +260,13 @@ class TestVerify:
         assert err.startswith("refused: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_an_unbounded_depth_is_refused(self, capsys):
+        """A depth far above the suite's maximum ends at once, in one line."""
+        code, out, err = run(capsys, "verify", "--suite", "witness", "--depth", "100000000")
+        assert code == 2
+        assert out == ""
+        assert err == "refused: witness depth must lie in 1..4096, got 100000000\n"
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["verify", "--suite", "everything"])
@@ -288,16 +295,20 @@ class TestOutputs:
     """The output contract: the CI's pinned outputs, and writes that fail."""
 
     def test_outputs_match_their_digests(self, capsys, tmp_path):
-        """The CI's argv for four of the outputs that tests/outputs.sha256
+        """The CI's argv for five of the outputs that tests/outputs.sha256
         pins, run in process; verify-all.json stays in CI, as it takes about
-        4 s."""
+        4 s.  grid12.csv reads levels 0..8200."""
         lines = Path(__file__).with_name("outputs.sha256").read_text().splitlines()
         pinned = {name: digest for digest, name in (line.split() for line in lines)}
         outputs = {}
         negative = ["--x-min=-1", "--x-max=0", "--y-min=-1", "--y-max=0"]
-        for name, bounds in (("grid8.csv", []), ("grid8-negative.csv", negative)):
+        for name, args in (
+            ("grid8.csv", ["--denominator", "8"]),
+            ("grid8-negative.csv", ["--denominator", "8", *negative]),
+            ("grid12.csv", ["--denominator", "12", "--max-level", "8200"]),
+        ):
             out = tmp_path / name
-            assert cli.main(["grid", "--denominator", "8", *bounds, "--out", str(out)]) == 0
+            assert cli.main(["grid", *args, "--out", str(out)]) == 0
             outputs[name] = out.read_bytes()
         assert cli.main(["pairs", "--count", "40000", "--json"]) == 0
         outputs["pairs40000.json"] = capsys.readouterr().out.encode("ascii")

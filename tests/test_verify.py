@@ -13,6 +13,7 @@ from crossweave.cross_extension import CrossFunction, build_cross
 from crossweave.verify import (
     DEFAULT_SEED,
     MAX_ORACLE_LEVEL,
+    SUITES,
     Refusal,
     Report,
     brute_force_radius,
@@ -410,6 +411,19 @@ class TestReportsAndDriver:
     def test_run_suite_rejects_depth_below_one(self, depth):
         with pytest.raises(Refusal):
             run_suite("singleton", depth=depth)
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_run_suite_refuses_above_the_maximum_depth(self, suite, monkeypatch):
+        """Each suite refuses one more than its maximum depth before it
+        builds a level."""
+
+        def build_level(self, level):
+            raise AssertionError(f"built level {level}")
+
+        monkeypatch.setattr(WovenFunction, "build_level", build_level)
+        maximum = SUITES[suite][1]
+        with pytest.raises(Refusal, match=f"{suite} depth must lie in 1..{maximum}"):
+            run_suite(suite, depth=maximum + 1)
 
     def test_run_suite_small_oracle(self):
         reports = run_suite("oracle", depth=3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import gc
 import random
 import tracemalloc
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossweave.cross_extension import CrossFunction
+from crossweave.cross_extension import CrossFunction, build_cross
 from crossweave.pairing import Refusal
 from crossweave.verify import brute_force_radius, cross_anchors, linear_scan_value
-from crossweave.weave import WovenFunction
+from crossweave.weave import Screen, WovenFunction
+from test_cross_extension import tower_on
 
 probe = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=16)
 
@@ -141,6 +143,70 @@ class TestScreenedBuild:
             )
         radii = [cross.radius for cross in crosses]
         assert radii == sorted(radii, reverse=True)
+
+    def test_radii_are_the_running_minimum_of_half_gaps(self):
+        """Through 4096 levels, r_n = min(r_{n-1}, g_n / 2) from r_0 = 1, with
+        each gap g_n read off one sorted list of coordinates per axis."""
+        tower = WovenFunction()
+        tower.build_to(4095)
+        placed = ([], [])
+        radius = Fraction(1)
+        for cross, pair in zip(tower.crosses, tower.pairing.pairs):
+            for coordinates, t in zip(placed, pair):
+                pos = bisect.bisect_left(coordinates, t)
+                for a in coordinates[max(pos - 1, 0) : pos + 1]:
+                    radius = min(radius, abs(a - t) / 2)
+                coordinates.insert(pos, t)
+            assert cross.radius == radius, cross.level
+
+    def test_bucket_edges_and_negative_coordinates(self):
+        """A tower on the multiples of 1, 1/2, ..., 1/16 in [-1, 1) and
+        (-1, 1], coarse ones first, so that six radius groups fill up and
+        coordinates sit on the edges of their buckets, multiples of the
+        reach, half of them negative.  Every radius and parameter equals the
+        reference's, whose values are built from its own earlier levels."""
+        rng = random.Random(18)
+        xs, ys = [], []
+        for scale in (1, 2, 4, 8, 16):
+            for placed, lo in ((xs, -scale), (ys, 1 - scale)):
+                new = [Fraction(i, scale) for i in range(lo, lo + 2 * scale)]
+                new = [t for t in new if t not in placed]
+                rng.shuffle(new)
+                placed += new
+        tower = tower_on(xs, ys)
+        tower.build_to(len(xs) - 1)
+        reference = []
+        for n, cross in enumerate(tower.crosses):
+            anchors = cross_anchors(xs[: n + 1], ys[: n + 1])
+            assert cross.radius == brute_force_radius(anchors), n
+            column = tuple(
+                linear_scan_value((xs[n], ys[i]), *reference[i]) for i in range(n)
+            )
+            row = tuple(
+                linear_scan_value((xs[i], ys[n]), *reference[i]) for i in range(n)
+            )
+            assert tower.column_params[n] == column, n
+            assert tower.row_params[n] == row, n
+            reference.append((anchors, (*column, Fraction(1), *row), cross.radius))
+        radii = {cross.radius for cross in tower.crosses}
+        assert radii == {Fraction(1, 2**k) for k in range(6)}
+
+    def test_the_window_is_open(self):
+        """Level 0, centered at x = 1 with radius 1, is in group 0, of reach
+        2 and buckets [2b, 2b + 2): a coordinate 2 away is outside the
+        window, the buckets either side of t's own are probed, and within
+        the radius the level's value is found."""
+        screen = Screen(0)
+        cross = build_cross(0, (Fraction(1), Fraction(0)), [], [], Fraction(1))
+        screen.add(cross, [])
+        for t in (Fraction(3), Fraction(-1)):
+            assert screen.prescribed(t, [cross]) == ([], [], None)
+        for t in (Fraction(5, 2), Fraction(-7, 8)):
+            assert screen.prescribed(t, [cross]) == ([], [], abs(t - 1))
+        half = Fraction(1, 2)
+        assert screen.prescribed(Fraction(3, 2), [cross]) == ([(0, half)], [0], half)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            screen.prescribed(Fraction(1), [cross])
 
     def test_evaluates_only_the_nonzero_parameters(self, monkeypatch):
         calls = 0
