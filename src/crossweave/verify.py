@@ -15,10 +15,23 @@ The checks deliberately re-derive what they test through independent routes:
   `linear_scan_value`, hat times tent from one scan of the anchors.  The
   oracle derives the levels bottom-up, each level's anchors, values and
   radius once per list of derived levels, scoped to one check, and
-  evaluates points through these two functions.  It refuses above
-  `MAX_ORACLE_LEVEL`.  `check_oracle_equivalence` compares its sampled
-  points and then every level it derived, values and radius, with the
-  tower.
+  evaluates points by the same scan.  It refuses above `MAX_ORACLE_LEVEL`.
+  `check_oracle_equivalence` compares its sampled points and then every
+  level it derived, values and radius, with the tower.
+
+  Both work on an integer lattice, and a derived level is kept only in
+  that form (`Level`): its anchors as the integers a L, with L the lcm of
+  their denominators, its values as integers over their common
+  denominator, and its radius as a numerator and a denominator.  The
+  separation is the minimum over every pair of those integers, and a scan
+  scales the point and the anchors by M, the lcm of L and the point's
+  denominators, so the distances, the hat, the test d < r and the tent
+  sum are integers, and each value is one `Fraction` at the end.  Integer
+  equality after scaling by a common factor is exact equality, and the
+  lattice shares no code with the tower's own integer lines: this module
+  imports nothing from `cross_extension`.  The two public functions wrap
+  the scan for `Fraction` anchors; no `Fraction` distance (the former
+  `_linf`) remains.
 * `check_welldefined` compares the defining column route against the row
   route that the construction must make equivalent, and is the only check
   of that agreement.
@@ -35,6 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .pairing import Pairing, Point, Refusal, enumerate_box
@@ -42,7 +56,7 @@ from .rationals import Rational, format_rational
 from .weave import WovenFunction
 
 DEFAULT_SEED = 1729
-MAX_ORACLE_LEVEL = 64
+MAX_ORACLE_LEVEL = 256
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -115,8 +129,68 @@ class Report:
 # -- independent reference and oracle --------------------------------------
 
 
-def _linf(a: Point, b: Point) -> Rational:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+# one derived level, all in integers: L, each anchor as (x L, y L), the
+# common denominator W of the values and each value times W, and the radius
+# as (numerator, denominator)
+Level = tuple[int, list[tuple[int, int]], int, list[int], tuple[int, int]]
+
+
+def _lattice(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
+    """L, the lcm of the points' coordinate denominators, and each point as
+    the integers (x L, y L)."""
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
+    scale = lcm(*(d for pair in ratios for _, d in pair))
+    return scale, [
+        (x_n * (scale // x_d), y_n * (scale // y_d)) for (x_n, x_d), (y_n, y_d) in ratios
+    ]
+
+
+def _common(values: Sequence[Rational]) -> tuple[int, list[int]]:
+    """W, the lcm of the values' denominators, and each value times W."""
+    ratios = [value.as_integer_ratio() for value in values]
+    denominator = lcm(*(d for _, d in ratios))
+    return denominator, [n * (denominator // d) for n, d in ratios]
+
+
+def _radius(scale: int, lattice: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """min(1, half the minimum pairwise L-infinity distance) as (numerator,
+    denominator), over every pair of points scaled by L."""
+    separation = min(
+        (
+            max(abs(ax - bx), abs(ay - by))
+            for i, (ax, ay) in enumerate(lattice)
+            for bx, by in lattice[i + 1 :]
+        ),
+        default=None,
+    )
+    if separation is None:
+        return 1, 1
+    if separation == 0:
+        raise ValueError("anchors must be pairwise distinct")
+    return min(separation, 2 * scale), 2 * scale
+
+
+def _scan(point: Point, level: Level) -> Rational:
+    """hat * tent at `point` from one scan of the level's anchors, in integers.
+
+    With M the lcm of L and the point's two denominators, every distance
+    is an integer D over M: the hat is (M - min D) / M, an anchor is inside
+    its tent when D r_d < r_n M, and there its tent is
+    (r_n M - D r_d) / (r_n M).  The value is one `Fraction` at the end.
+    """
+    scale, anchors, denominator, values, (r_n, r_d) = level
+    (x_n, x_d), (y_n, y_d) = point[0].as_integer_ratio(), point[1].as_integer_ratio()
+    m = lcm(scale, x_d, y_d)
+    k, px, py = m // scale, x_n * (m // x_d), y_n * (m // y_d)
+    distances = [max(abs(k * ax - px), abs(k * ay - py)) for ax, ay in anchors]
+    nearest = min(distances)
+    if nearest >= m:
+        return ZERO
+    if len(distances) == 1:
+        return Fraction(m - nearest, m)
+    reach = r_n * m
+    tent = sum(v * (reach - d * r_d) for v, d in zip(values, distances) if d * r_d < reach)
+    return Fraction((m - nearest) * tent, m * m * denominator * r_n)
 
 
 def cross_anchors(xs: Sequence[Rational], ys: Sequence[Rational]) -> list[Point]:
@@ -134,15 +208,7 @@ def brute_force_radius(anchors: Sequence[Point]) -> Rational:
     A single anchor gets 1; coincident anchors are refused, since their
     tents would have no room.
     """
-    separation = min(
-        (_linf(a, b) for i, a in enumerate(anchors) for b in anchors[i + 1 :]),
-        default=None,
-    )
-    if separation is None:
-        return ONE
-    if separation == 0:
-        raise ValueError("anchors must be pairwise distinct")
-    return min(ONE, separation / 2)
+    return Fraction(*_radius(*_lattice(anchors)))
 
 
 def linear_scan_value(
@@ -158,15 +224,7 @@ def linear_scan_value(
         raise ValueError("one value per anchor required")
     if radius <= 0:
         raise ValueError("tent radius must be positive")
-    distances = [_linf(point, anchor) for anchor in anchors]
-    hat = max(ZERO, ONE - min(distances))
-    if len(distances) == 1:
-        return hat
-    tent = sum(
-        (value * (ONE - d / radius) for value, d in zip(values, distances) if d < radius),
-        ZERO,
-    )
-    return hat * tent
+    return _scan(point, (*_lattice(anchors), *_common(values), radius.as_integer_ratio()))
 
 
 def oracle_eval(
@@ -174,18 +232,19 @@ def oracle_eval(
     x: Rational,
     y: Rational,
     max_level: int = MAX_ORACLE_LEVEL,
-    derived: list | None = None,
+    derived: list[Level] | None = None,
 ) -> Rational:
     """Value at (x, y) by the linear scan of the level of x, derived bottom-up.
 
     Level n's anchors come from the pair coordinates, their values from the
     linear scans of the earlier levels (never from the tower), and its
-    radius by brute force.  Refuses when the level of x exceeds
-    `max_level`, and refuses a `max_level` above the depth cap
-    `MAX_ORACLE_LEVEL`.  Pass one `derived` list to share the derived levels
-    across calls on the same pairing (as `check_oracle_equivalence` does);
-    that is sound because a level depends only on the pairs up to it, and a
-    pairing only appends.  Without one, a fresh list is used.
+    radius by brute force; the level is kept in integers, as a `Level`.
+    Refuses when the level of x exceeds `max_level`, and refuses a
+    `max_level` above the depth cap `MAX_ORACLE_LEVEL`.  Pass one `derived`
+    list to share the derived levels across calls on the same pairing (as
+    `check_oracle_equivalence` does); that is sound because a level depends
+    only on the pairs up to it, and a pairing only appends.  Without one, a
+    fresh list is used.
     """
     if max_level > MAX_ORACLE_LEVEL:
         raise Refusal(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
@@ -194,10 +253,12 @@ def oracle_eval(
     for n in range(len(derived), level + 1):
         anchors = cross_anchors(*zip(*pairing.pairs[: n + 1]))
         # anchor i is on the row of level i, and anchor n + 1 + i on its column
-        column = [linear_scan_value(anchors[i], *derived[i]) for i in range(n)]
-        row = [linear_scan_value(anchors[n + 1 + i], *derived[i]) for i in range(n)]
-        derived.append((anchors, [*column, ONE, *row], brute_force_radius(anchors)))
-    return linear_scan_value((x, y), *derived[level])
+        column = [_scan(anchors[i], derived[i]) for i in range(n)]
+        row = [_scan(anchors[n + 1 + i], derived[i]) for i in range(n)]
+        scale, lattice = _lattice(anchors)
+        values = _common([*column, ONE, *row])
+        derived.append((scale, lattice, *values, _radius(scale, lattice)))
+    return _scan((x, y), derived[level])
 
 
 # -- checks ----------------------------------------------------------------
@@ -248,7 +309,9 @@ def check_welldefined(woven: WovenFunction, columns: int = 128, rows: int = 128)
 def check_parameter_range(woven: WovenFunction, levels: int = 256) -> Report:
     """Every prescribed value of the derived tables must lie in [0, 1) exactly.
 
-    Counts the table entries read; level 0 has none.
+    Counts the table entries read; level 0 has none.  The range is decided
+    on each value's numerator n and denominator d as 0 <= n < d, which is
+    exact because d is positive.
     """
     woven.build_to(levels - 1)
     failures = []
@@ -260,7 +323,8 @@ def check_parameter_range(woven: WovenFunction, levels: int = 256) -> Report:
         ):
             read += len(table)
             for i, value in enumerate(table):
-                if not (ZERO <= value < ONE):
+                n, d = value.as_integer_ratio()
+                if not 0 <= n < d:
                     failures.append(
                         {"level": k, "table": table_name, "index": i, "value": value}
                     )
@@ -294,8 +358,10 @@ def check_image_density(
     examples = []
     woven.build_to(0)
     x0 = woven.pairing.pairs[0][0]
-    targets = [Fraction(k, pitch) for k in range(pitch + 1)] if pitch > 0 else []
-    for k, target in enumerate(targets):
+    # one target at a time, so memory does not grow with the pitch
+    steps = range(pitch + 1 if pitch > 0 else 0)
+    for k in steps:
+        target = Fraction(k, pitch)
         y = image_density_search(woven, target)
         value = woven.value(x0, y)
         entry = {"target": target, "y": y, "value": value}
@@ -304,7 +370,7 @@ def check_image_density(
         elif k in (0, pitch // 2, pitch):
             examples.append(entry)
     return Report(
-        "image_density", {"pitch": pitch, "eps": eps}, len(targets), failures, examples
+        "image_density", {"pitch": pitch, "eps": eps}, len(steps), failures, examples
     )
 
 
@@ -425,7 +491,7 @@ def check_oracle_equivalence(
         raise Refusal(f"max_level must lie in 0..{MAX_ORACLE_LEVEL}, got {max_level}")
     woven.build_to(max_level)
     rng = random.Random(seed)
-    derived: list = []
+    derived: list[Level] = []
     drawn = range(samples)
     failures = []
     for _ in drawn:
@@ -437,9 +503,10 @@ def check_oracle_equivalence(
         if fast != slow:
             failures.append({"level": level, "x": x, "y": y, "fast": fast, "oracle": slow})
     compared = 0
-    for n, (_, values, radius) in enumerate(derived):
+    for n, (_, _, denominator, values, radius) in enumerate(derived):
         tower = [*woven.column_params[n], ONE, *woven.row_params[n], woven.cross(n).radius]
-        for entry, (expected, found) in enumerate(zip(tower, [*values, radius], strict=True)):
+        oracle = [*(Fraction(v, denominator) for v in values), Fraction(*radius)]
+        for entry, (expected, found) in enumerate(zip(tower, oracle, strict=True)):
             if expected != found:
                 failures.append({"level": n, "entry": entry, "tower": expected, "oracle": found})
         compared += len(tower)
@@ -459,7 +526,7 @@ def check_oracle_equivalence(
 # replaced check takes effect
 SUITES = {
     "singleton": (512, 16384, lambda woven, depth, seed: check_singleton_image(woven, depth)),
-    "range": (512, 2048, lambda woven, depth, seed: check_parameter_range(woven, depth)),
+    "range": (512, 8192, lambda woven, depth, seed: check_parameter_range(woven, depth)),
     "welldef": (128, 1024, lambda woven, depth, seed: check_welldefined(woven, depth, depth)),
     "density": (20, 10**5, lambda woven, depth, seed: check_image_density(woven, pitch=depth)),
     "witness": (50, 4096, lambda woven, depth, seed: nonfeeble_witness(woven, boxes=depth)),

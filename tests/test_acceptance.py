@@ -81,16 +81,16 @@ def test_criterion_5_no_open_box_inside_the_middle_preimage(woven512):
 
 def test_criterion_6_memoized_tower_matches_naive_recursion(woven512):
     report = check_oracle_equivalence(
-        woven512, max_level=64, samples=200, seed=DEFAULT_SEED
+        woven512, max_level=128, samples=200, seed=DEFAULT_SEED
     )
     announce(
         6,
-        "memoized evaluation equals the independent oracle on 200 points and 65 levels",
+        "memoized evaluation equals the independent oracle on 200 points and 129 levels",
         report.passed,
     )
     assert report.passed, report.text_line()
-    # 200 samples, then levels 0..64 of the oracle, 2n + 1 values and a radius each
-    assert report.checked == 200 + sum(2 * n + 2 for n in range(65))
+    # 200 samples, then levels 0..128 of the oracle, 2n + 1 values and a radius each
+    assert report.checked == 200 + sum(2 * n + 2 for n in range(129)) == 16_970
 
 
 def test_criterion_7_sections_obey_their_lipschitz_bounds(woven512):

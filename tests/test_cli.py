@@ -295,9 +295,9 @@ class TestOutputs:
     """The output contract: the CI's pinned outputs, and writes that fail."""
 
     def test_outputs_match_their_digests(self, capsys, tmp_path):
-        """The CI's argv for five of the outputs that tests/outputs.sha256
-        pins, run in process; verify-all.json stays in CI, as it takes about
-        4 s.  grid12.csv reads levels 0..8200."""
+        """The CI's argv for every output that tests/outputs.sha256 pins,
+        run in process.  grid12.csv reads levels 0..8200, and verify-all.json
+        runs every suite at its canonical depth (about 1 s)."""
         lines = Path(__file__).with_name("outputs.sha256").read_text().splitlines()
         pinned = {name: digest for digest, name in (line.split() for line in lines)}
         outputs = {}
@@ -317,7 +317,9 @@ class TestOutputs:
         for x, y in tent:
             assert cli.main(["eval", "--decimal", f"--x={x}", f"--y={y}"]) == 0
         outputs["eval-tent.txt"] = capsys.readouterr().out.encode("ascii")
-        assert set(pinned) == {*outputs, "verify-all.json"}
+        assert cli.main(["verify", "--suite", "all", "--format", "json"]) == 0
+        outputs["verify-all.json"] = capsys.readouterr().out.encode("ascii")
+        assert set(pinned) == set(outputs)
         for name, data in outputs.items():
             assert hashlib.sha256(data).hexdigest() == pinned[name], name
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,7 @@ from crossweave.verify import (
     check_welldefined,
     cross_anchors,
     image_density_search,
+    linear_scan_value,
     nonfeeble_witness,
     oracle_eval,
     random_rational,
@@ -117,9 +120,76 @@ class TestOracle:
                 assert row == woven.row_params[n][i], (n, i)
         # every derived level holds the tower's tables and radius, rows included
         assert len(derived) == 21
-        for n, (_, values, radius) in enumerate(derived):
+        for n, (_, _, denominator, values, radius) in enumerate(derived):
+            values = [Fraction(v, denominator) for v in values]
             assert values == [*woven.column_params[n], 1, *woven.row_params[n]], n
-            assert radius == woven.cross(n).radius, n
+            assert Fraction(*radius) == woven.cross(n).radius, n
+
+
+def points(*coordinates):
+    """Points from coordinate strings: points("1/3 0", "-1/2 1/7")."""
+    return [tuple(map(Fraction, text.split())) for text in coordinates]
+
+
+class TestLattice:
+    """Hand-computed values of the integer reference, through its `Fraction`
+    wrappers, where the scaling to a common lattice could go wrong."""
+
+    def test_a_point_whose_denominators_are_coprime_to_the_anchors(self):
+        """Anchors at thirds (L = 3), points at sevenths (M = 21).  The
+        nearest separation is 1/3, so the radius is 1/6."""
+        anchors = points("0 0", "1/3 0", "0 2/3")
+        values = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
+        radius = brute_force_radius(anchors)
+        assert radius == Fraction(1, 6)
+        near_first, near_second = points("1/7 0", "1/3 1/7")
+        # 1/7 < 1/6 from (0, 0): hat 6/7, tent 1 - 6/7
+        assert linear_scan_value(near_first, anchors, values, radius) == Fraction(6, 49)
+        # 1/7 from (1/3, 0): hat 6/7, tent (1/2)(1/7)
+        assert linear_scan_value(near_second, anchors, values, radius) == Fraction(3, 49)
+
+    def test_negative_coordinates(self):
+        anchors = points("-1/2 -1/2", "-1/2 0", "-2 -5/4")
+        values = (Fraction(1), Fraction(1, 2), Fraction(1, 3))
+        radius = brute_force_radius(anchors)
+        assert radius == Fraction(1, 4)
+        expected = (
+            Fraction(7, 16),  # 1/8 from (-1/2, -1/2): hat 7/8, tent 1 - 1/2
+            Fraction(7, 32),  # 1/8 from (-1/2, 0): hat 7/8, tent (1/2)(1 - 1/2)
+            Fraction(4, 75),  # 1/5 from (-2, -5/4): hat 4/5, tent (1/3)(1 - 4/5)
+        )
+        for point, value in zip(points("-5/8 -1/2", "-1/2 -1/8", "-9/5 -5/4"), expected):
+            assert linear_scan_value(point, anchors, values, radius) == value, point
+
+    def test_a_point_at_exactly_the_radius_is_outside_its_tent(self):
+        anchors = points("0 0", "1 0")
+        values = (Fraction(1), Fraction(1, 2))
+        radius = Fraction(1, 4)
+        for point in points("1/4 0", "1 -1/4", "3/4 1/8"):
+            assert linear_scan_value(point, anchors, values, radius) == 0, point
+        # just inside: hat 4/5, tent 1 - 4/5
+        [inside] = points("1/5 0")
+        assert linear_scan_value(inside, anchors, values, radius) == Fraction(4, 25)
+
+    def test_a_point_at_distance_one_has_a_zero_hat(self):
+        bare = points("1/3 -1/3"), (Fraction(1),), Fraction(1)
+        for point in points("-2/3 0", "4/3 1/7", "0 2/3"):
+            assert linear_scan_value(point, *bare) == 0, point
+        [inside] = points("-1/2 0")
+        assert linear_scan_value(inside, *bare) == Fraction(1, 6)
+        anchors = points("0 0", "3 0")
+        radius = brute_force_radius(anchors)
+        assert radius == 1
+        at_one, inside = points("1 0", "3/4 0")
+        assert linear_scan_value(at_one, anchors, (1, 1), radius) == 0
+        # hat 1/4, tent 1 - 3/4
+        assert linear_scan_value(inside, anchors, (1, 1), radius) == Fraction(1, 16)
+
+    def test_coincident_anchors_are_refused(self):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            brute_force_radius(points("1/3 0", "1/2 1/7", "2/6 0"))
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            brute_force_radius([(1, 0), (Fraction(1), Fraction(0))])
 
 
 class TestBasicChecks:
@@ -207,6 +277,19 @@ class TestImageDensity:
         assert report.passed and report.checked == 11
         assert report.bounds["eps"] == 0
         assert report.witnesses  # exemplar targets recorded
+
+    def test_memory_does_not_grow_with_the_pitch(self, woven):
+        """The targets are made one at a time: a list of the 20 001 targets
+        alone would take about 2.3 MiB."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = check_image_density(woven, pitch=20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.checked == 20001
+        assert peak < 2**20
 
     def test_sweep_passes_with_no_tolerance(self, woven):
         report = check_image_density(woven, pitch=97, eps=Fraction(0))
