@@ -170,19 +170,9 @@ def _nonzero_line(
     anchors: Iterable[tuple[Rational, Rational]], center: Rational
 ) -> Line:
     """The center (value 1) and the nonzero anchors of one line, as integers
-    over their common denominator, sorted.
-
-    Refuses a prescribed value outside [0, 1); a zero one is in range, so
-    only the nonzero ones need comparing, and it is dropped.  The range is
-    decided on the value's numerator and its denominator, which is positive.
-    """
+    over their common denominator, sorted; a zero-valued anchor is dropped."""
     line = [(center.as_integer_ratio(), ONE)]
-    for coordinate, value in anchors:
-        v_n, v_d = value.as_integer_ratio()
-        if v_n:
-            if not 0 < v_n < v_d:
-                raise ValueError("prescribed values must lie in [0, 1)")
-            line.append((coordinate.as_integer_ratio(), value))
+    line += [(a.as_integer_ratio(), value) for a, value in anchors if value]
     scale = lcm(*(a_d for (_, a_d), _ in line))
     line = sorted((a_n * (scale // a_d), v) for (a_n, a_d), v in line)
     return scale, tuple(a for a, _ in line), tuple(v for _, v in line)
@@ -198,9 +188,11 @@ def build_cross(
     """Build the level-n interpolant centered at (x_n, y_n).
 
     `column_anchors` holds pairs (y_i, value at (x_n, y_i)) and
-    `row_anchors` pairs (x_i, value at (x_i, y_n)), for earlier levels i
-    and values in [0, 1); an anchor left out has value 0.  The center
-    (x_n, y_n) always gets value 1.
+    `row_anchors` pairs (x_i, value at (x_i, y_n)), for earlier levels i;
+    an anchor left out has value 0.  The center (x_n, y_n) always gets
+    value 1.  The values are the caller's and are not checked here: the
+    construction keeps them in [0, 1), and `verify`'s range suite
+    certifies that from the stored lines.
 
     `radius` is the tent radius, in (0, 1]: it must be at most half the
     minimum pairwise anchor distance, which the caller knows from the

@@ -35,6 +35,11 @@ The checks deliberately re-derive what they test through independent routes:
 * `check_welldefined` compares the defining column route against the row
   route that the construction must make equivalent, and is the only check
   of that agreement.
+* `check_parameter_range` reads every value a level stores on its two
+  lines, the only record of its parameters, and requires the center's to
+  be 1 and every other one to lie in (0, 1); a parameter no line stores
+  is 0.  The build stores the values it is given, so this check alone
+  decides their range.
 * `check_sections` certifies both lines of each level against its
   Lipschitz bound at every point, from five values per tent.
 * `nonfeeble_witness` certifies that a value interval strictly between the
@@ -307,27 +312,27 @@ def check_welldefined(woven: WovenFunction, columns: int = 128, rows: int = 128)
 
 
 def check_parameter_range(woven: WovenFunction, levels: int = 256) -> Report:
-    """Every prescribed value of the derived tables must lie in [0, 1) exactly.
+    """Every value stored on the two lines of each level below `levels` must
+    be in range: the center's exactly 1, every other one in (0, 1).
 
-    Counts the table entries read; level 0 has none.  The range is decided
-    on each value's numerator n and denominator d as 0 <= n < d, which is
-    exact because d is positive.
+    A parameter that no line stores is 0, which is in range, so the stored
+    values are all there is to read; counts them, two centers at level 0.
+    The range is decided on each value's numerator n and denominator d,
+    which is positive, as 0 < n < d.
     """
     woven.build_to(levels - 1)
     failures = []
     read = 0
-    for k in range(levels):
-        for table_name, table in (
-            ("column", woven.column_params[k]),
-            ("row", woven.row_params[k]),
-        ):
-            read += len(table)
-            for i, value in enumerate(table):
+    for level in range(levels):
+        cross = woven.cross(level)
+        for axis, kind in enumerate(("row", "column")):
+            center = (cross.column_x, cross.row_y)[axis]
+            anchors, values = cross.line(axis)
+            read += len(values)
+            for a, value in zip(anchors, values):
                 n, d = value.as_integer_ratio()
-                if not 0 <= n < d:
-                    failures.append(
-                        {"level": k, "table": table_name, "index": i, "value": value}
-                    )
+                if not (n == d == 1 if a == center else 0 < n < d):
+                    failures.append({"level": level, "line": kind, "anchor": a, "value": value})
     return Report("parameter_range", {"levels": levels}, read, failures)
 
 
@@ -526,7 +531,7 @@ def check_oracle_equivalence(
 # replaced check takes effect
 SUITES = {
     "singleton": (512, 16384, lambda woven, depth, seed: check_singleton_image(woven, depth)),
-    "range": (512, 8192, lambda woven, depth, seed: check_parameter_range(woven, depth)),
+    "range": (512, 16384, lambda woven, depth, seed: check_parameter_range(woven, depth)),
     "welldef": (128, 1024, lambda woven, depth, seed: check_welldefined(woven, depth, depth)),
     "density": (20, 10**5, lambda woven, depth, seed: check_image_density(woven, pitch=depth)),
     "witness": (50, 4096, lambda woven, depth, seed: nonfeeble_witness(woven, boxes=depth)),

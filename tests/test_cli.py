@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import crossweave.cli as cli
 import crossweave.verify as verify
+from crossweave.cross_extension import CrossFunction
 from crossweave.pairing import Pairing, Refusal
 from crossweave.rationals import format_rational
 from crossweave.verify import MAX_ORACLE_LEVEL, SUITE_NAMES, Report
@@ -219,11 +220,27 @@ class TestVerify:
         assert "PASS parameter_range  levels=64" in out
         assert "1/1 checks passed" in out
 
-    def test_range_suite_that_examined_no_value_fails(self, capsys):
-        """Level 0 has no parameters, so depth 1 examines none."""
+    def test_range_suite_at_depth_one_reads_the_two_centers(self, capsys):
+        """Level 0 has no parameters, but each of its lines stores its center."""
         code, out, _ = run(capsys, "verify", "--suite", "range", "--depth", "1")
-        assert code == 1
-        assert "FAIL parameter_range  levels=1  checked=0" in out
+        assert code == 0
+        assert "PASS parameter_range  levels=1  checked=2" in out
+
+    def test_a_doubled_tent_fails_every_suite_with_witnesses(self, capsys, monkeypatch):
+        """Every cross returns twice its value, and the build stores the
+        values it is given: each of the seven checks ends in a FAIL line
+        with witnesses, not in an exception."""
+        value_at = CrossFunction.value_at
+        monkeypatch.setattr(
+            CrossFunction, "value_at", lambda cross, point: 2 * value_at(cross, point)
+        )
+        code, out, err = run(capsys, "verify", "--suite", "all")
+        assert (code, err) == (1, "")
+        *reports, summary = out.splitlines()
+        assert summary == "0/7 checks passed"
+        assert len(reports) == 7
+        assert all(line.startswith("FAIL ") and "  [" in line for line in reports)
+        assert "[level=2 line=row anchor=0/1 value=1/1]" in reports[1]
 
     def test_json_format(self, capsys):
         code, out, _ = run(

@@ -15,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossweave.cross_extension import ZERO, base_value, build_cross
-from crossweave.pairing import Pairing
 from crossweave.rationals import format_rational
 from crossweave.verify import brute_force_radius, cross_anchors, linear_scan_value
 from crossweave.weave import WovenFunction
+from towers import tower_on
 
 ONE = Fraction(1)
 ORIGIN = (Fraction(0), Fraction(0))
@@ -50,16 +50,6 @@ def build(level, xs, ys, column_params, row_params):
     column, row = list(zip(ys, column_params)), list(zip(xs, row_params))
     radius = brute_force_radius(cross_anchors(xs, ys))
     return build_cross(level, (xs[-1], ys[-1]), column, row, radius)
-
-
-def tower_on(xs, ys):
-    """A tower whose pairing is filled in place with the pairs (xs[n], ys[n])."""
-    pairing = Pairing()
-    for n, (x, y) in enumerate(zip(xs, ys)):
-        pairing.pairs.append((x, y))
-        pairing.level_of_x[x] = n
-        pairing.level_of_y[y] = n
-    return WovenFunction(pairing)
 
 
 def reference_data(level, xs, ys, column_params, row_params):
@@ -251,26 +241,6 @@ class TestBuildValidation:
             with pytest.raises(ValueError, match="pairwise distinct"):
                 tower.build_to(2)
             assert tower.built_levels == 2
-
-    def test_rejects_parameter_at_one(self):
-        with pytest.raises(ValueError):
-            build(
-                1,
-                (Fraction(0), Fraction(1)),
-                (Fraction(0), Fraction(1)),
-                (Fraction(1),),
-                (Fraction(0),),
-            )
-
-    def test_rejects_negative_parameter(self):
-        with pytest.raises(ValueError):
-            build(
-                1,
-                (Fraction(0), Fraction(1)),
-                (Fraction(0), Fraction(1)),
-                (Fraction(0),),
-                (Fraction(-1, 2),),
-            )
 
     @pytest.mark.parametrize(
         "radius",

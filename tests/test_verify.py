@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from crossweave import cross_extension
+from crossweave import cross_extension, verify
 from crossweave.cross_extension import CrossFunction, build_cross
 from crossweave.verify import (
     DEFAULT_SEED,
@@ -34,6 +34,7 @@ from crossweave.verify import (
     run_suite,
 )
 from crossweave.weave import WovenFunction
+from towers import coprime_coordinates, dyadic_coordinates, tower_on, wide_gap_coordinates
 
 
 def steeper_hat(x0, y0, point):
@@ -211,6 +212,36 @@ class TestBasicChecks:
 
     def test_parameter_range_passes(self, woven):
         assert check_parameter_range(woven, 40).passed
+
+    @staticmethod
+    def with_level_one(column_value, row_value):
+        """The canonical tower to level 3 with level 1 rebuilt: its column's
+        value at y_0 and its row's at x_0 are the ones given."""
+        broken = WovenFunction()
+        broken.build_to(3)
+        xs, ys = zip(*broken.pairing.pairs[:2])
+        broken.crosses[1] = build_cross(
+            1,
+            (xs[-1], ys[-1]),
+            [(ys[0], column_value)],
+            [(xs[0], row_value)],
+            brute_force_radius(cross_anchors(xs, ys)),
+        )
+        return broken
+
+    def test_parameter_range_catches_a_parameter_at_one(self):
+        broken = self.with_level_one(Fraction(1), Fraction(0))
+        report = check_parameter_range(broken, 4)
+        assert not report.passed
+        anchor = broken.pairing.pairs[0][1]
+        assert report.failures == [{"level": 1, "line": "column", "anchor": anchor, "value": 1}]
+
+    def test_parameter_range_catches_a_negative_parameter(self):
+        broken = self.with_level_one(Fraction(0), Fraction(-1, 2))
+        report = check_parameter_range(broken, 4)
+        assert not report.passed
+        anchor, value = broken.pairing.pairs[0][0], Fraction(-1, 2)
+        assert report.failures == [{"level": 1, "line": "row", "anchor": anchor, "value": value}]
 
     def test_welldefined_catches_a_corrupted_level(self):
         # rebuild level 3 with a perturbed prescribed value: the tower loses
@@ -430,7 +461,7 @@ class TestNothingExaminedFails:
         [
             lambda tower: check_singleton_image(tower, 0),
             lambda tower: check_welldefined(tower, 0, 0),
-            lambda tower: check_parameter_range(tower, 1),
+            lambda tower: check_parameter_range(tower, 0),
             lambda tower: check_image_density(tower, pitch=0),
             lambda tower: nonfeeble_witness(tower, 0),
             lambda tower: check_sections(tower, levels=0),
@@ -457,6 +488,53 @@ class TestNothingExaminedFails:
         assert not report.passed
         assert report.bounds["boxes"] == boxes
         assert report.checked == 0
+
+
+class TestHandTowers:
+    """The checks that read no canonical schedule pass on towers of other
+    pairings, each at the tower's pair count; `density` and `witness` read
+    level 0's hat and the canonical boxes, and stay canonical."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_singleton_image,
+            lambda tower, n: check_welldefined(tower, n, n),
+            lambda tower, n: check_sections(tower, n),
+            check_parameter_range,
+            lambda tower, n: check_oracle_equivalence(tower, n - 1, samples=20),
+        ],
+        ids=["singleton", "welldef", "lipschitz", "range", "oracle"],
+    )
+    @pytest.mark.parametrize(
+        "coordinates",
+        [wide_gap_coordinates, dyadic_coordinates, coprime_coordinates],
+        ids=["wide-gap", "dyadic", "coprime"],
+    )
+    def test_passes(self, coordinates, check):
+        xs, ys = coordinates()
+        report = check(tower_on(xs, ys), len(xs))
+        assert report.passed, report.text_line()
+
+    def test_the_oracle_catches_a_radius_without_its_cap(self, monkeypatch):
+        """On the wide-gap tower only the cap makes the radius 1; an oracle
+        without it derives 2, and must disagree with the tower."""
+
+        def capless_radius(scale, lattice):
+            separation = min(
+                (
+                    max(abs(ax - bx), abs(ay - by))
+                    for i, (ax, ay) in enumerate(lattice)
+                    for bx, by in lattice[i + 1 :]
+                ),
+                default=2 * scale,
+            )
+            return separation, 2 * scale
+
+        monkeypatch.setattr(verify, "_radius", capless_radius)
+        report = check_oracle_equivalence(tower_on(*wide_gap_coordinates()), 2, samples=20)
+        assert not report.passed
+        assert report.witnesses[0]["level"] == 1
 
 
 class TestReportsAndDriver:

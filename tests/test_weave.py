@@ -16,7 +16,7 @@ from crossweave.cross_extension import CrossFunction, build_cross
 from crossweave.pairing import Refusal
 from crossweave.verify import brute_force_radius, cross_anchors, linear_scan_value
 from crossweave.weave import Screen, WovenFunction
-from test_cross_extension import tower_on
+from towers import dyadic_coordinates, tower_on
 
 probe = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=16)
 
@@ -160,19 +160,11 @@ class TestScreenedBuild:
             assert cross.radius == radius, cross.level
 
     def test_bucket_edges_and_negative_coordinates(self):
-        """A tower on the multiples of 1, 1/2, ..., 1/16 in [-1, 1) and
-        (-1, 1], coarse ones first, so that six radius groups fill up and
-        coordinates sit on the edges of their buckets, multiples of the
-        reach, half of them negative.  Every radius and parameter equals the
-        reference's, whose values are built from its own earlier levels."""
-        rng = random.Random(18)
-        xs, ys = [], []
-        for scale in (1, 2, 4, 8, 16):
-            for placed, lo in ((xs, -scale), (ys, 1 - scale)):
-                new = [Fraction(i, scale) for i in range(lo, lo + 2 * scale)]
-                new = [t for t in new if t not in placed]
-                rng.shuffle(new)
-                placed += new
+        """On the dyadic tower, whose six radius groups fill up with
+        coordinates on the edges of their buckets, every radius and
+        parameter equals the reference's, whose values are built from its
+        own earlier levels."""
+        xs, ys = dyadic_coordinates()
         tower = tower_on(xs, ys)
         tower.build_to(len(xs) - 1)
         reference = []
