@@ -15,8 +15,9 @@ every computed value rational.  The product is 1 exactly at (x_n, y_n),
 matches every prescribed anchor value exactly, stays within [0, 1], and is
 (1 + 1/r)-Lipschitz on the whole plane.
 
-Level 0 has a single anchor and is special: its function is the bare hat
-(multiplying by the tent would square the slope), which is 1-Lipschitz.
+Level 0 has a single anchor and radius 1, and its function is the bare hat
+(multiplying by the tent would square the slope), which is 1-Lipschitz: it
+is evaluated on its stored line like any level, without the tent factor.
 
 A cross evaluates a point through its nearest nonzero anchor alone.
 Because r is at most half the minimum anchor separation, a point p within
@@ -61,18 +62,6 @@ ONE = Fraction(1)
 # one line's nonzero anchors: the common denominator L of their coordinates,
 # each coordinate a as the integer a L in increasing order, and their values
 Line = tuple[int, tuple[int, ...], tuple[Rational, ...]]
-
-
-def base_value(x0: Rational, y0: Rational, point: Point) -> Rational:
-    """The level-0 function: a bare unit hat centered at (x0, y0).
-
-    On the vertical line this is max(0, 1 - |y - y0|), on the horizontal
-    line max(0, 1 - |x - x0|); both agree with the L-infinity hat there.
-    """
-    px, py = point
-    if px != x0 and py != y0:
-        raise ValueError("point lies off the level-0 cross")
-    return max(ZERO, ONE - max(abs(px - x0), abs(py - y0)))
 
 
 class CrossFunction:
@@ -136,7 +125,9 @@ class CrossFunction:
         to a neighbor is d = |A t_d - t_n L| / (L t_d), and d < r is
         decided by cross-multiplying.  A hit returns v (1 - d) (1 - d/r) as
         one `Fraction(numerator, denominator)`, which normalises to exactly
-        the value the `Fraction` formula gives; a miss returns zero.
+        the value the `Fraction` formula gives; a miss returns zero.  Level
+        0 takes the same path: its line holds only the center, its radius is
+        1, and a hit returns the bare hat 1 - d, without the tent factor.
         """
         px, py = point
         x = px.as_integer_ratio()
@@ -146,8 +137,6 @@ class CrossFunction:
             (scale, coordinates, values), (t_n, t_d) = self._lines[0], x
         else:
             raise ValueError(f"point lies off the level-{self.level} cross")
-        if self.level == 0:
-            return base_value(self.column_x, self.row_y, point)
         r_n, r_d = self.radius.as_integer_ratio()
         t_scaled = t_n * scale
         pos = bisect_left(coordinates, -(-t_scaled // t_d))
@@ -157,6 +146,8 @@ class CrossFunction:
             if 0 <= i < len(coordinates):
                 d_n = abs(coordinates[i] * t_d - t_scaled)
                 if d_n * r_d < r_n * d_d:
+                    if self.level == 0:  # the bare hat 1 - d
+                        return Fraction(d_d - d_n, d_d)
                     # v (1 - d) (1 - d/r), each factor over its own denominator
                     v = values[i]
                     return Fraction(
@@ -196,10 +187,11 @@ def build_cross(
 
     `radius` is the tent radius, in (0, 1]: it must be at most half the
     minimum pairwise anchor distance, which the caller knows from the
-    coordinates it has placed (`weave` keeps it as a running minimum).
+    coordinates it has placed (`weave` keeps it as a running minimum).  At
+    level 0 it must be 1, the reach of the bare hat.
     """
-    if not (ZERO < radius <= ONE):
-        raise ValueError("the tent radius must lie in (0, 1]")
+    if not (ZERO < radius <= ONE) or (level == 0 and radius != ONE):
+        raise ValueError("the tent radius must lie in (0, 1], and be 1 at level 0")
     row_line = _nonzero_line(row_anchors, center[0])
     column_line = _nonzero_line(column_anchors, center[1])
     return CrossFunction(level, center, radius, (row_line, column_line))

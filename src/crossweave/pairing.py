@@ -222,9 +222,9 @@ class Pairing:
                     f"level of {name}-coordinate is {level}, above the cap {max_level}"
                 )
             return level
-        bound = 3 * (index_of(value) + 1)
-        if max_level is not None:
-            bound = min(bound, max_level + 1)
+        # a cap alone bounds the search: the index i has as many bits as the
+        # sum of the value's continued-fraction quotients, so skip computing it
+        bound = 3 * (index_of(value) + 1) if max_level is None else max_level + 1
         while value not in levels and len(self.pairs) < bound:
             self.extend(1)
         level = levels.get(value)

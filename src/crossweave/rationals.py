@@ -86,9 +86,11 @@ def _tree_value(index: int) -> Fraction:
 def _tree_index(value: Fraction) -> int:
     """Inverse of `_tree_value` for positive rationals.
 
-    Ascends to the root one continued-fraction run at a time, so the cost is
-    logarithmic in numerator + denominator even though the index itself can
-    be astronomically large (the index of 63/64 needs 64 bits).
+    Ascends to the root one continued-fraction run at a time, so the walk
+    takes a number of steps logarithmic in numerator + denominator.  The
+    index it builds is not small: it has as many bits as the sum of the
+    continued-fraction quotients (the index of 63/64 needs 64 bits, that of
+    10^10 ten billion), and building it costs time and memory in proportion.
     """
     if value <= 0:
         raise ValueError("tree positions exist for positive rationals only")

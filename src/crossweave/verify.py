@@ -68,6 +68,9 @@ ONE = Fraction(1)
 
 _DENOMINATOR_POOL = (1, 2, 3, 4, 8, 16, 64)
 
+# the value interval (U_LO, U_HI) whose preimage `nonfeeble_witness` certifies
+U_LO, U_HI = Fraction(1, 4), Fraction(3, 4)
+
 
 def random_rational(rng: random.Random) -> Rational:
     """A small random rational in [-8, 8] with a mixed denominator."""
@@ -379,13 +382,8 @@ def check_image_density(
     )
 
 
-def nonfeeble_witness(
-    woven: WovenFunction,
-    boxes: int = 50,
-    u_lo: Rational = Fraction(1, 4),
-    u_hi: Rational = Fraction(3, 4),
-) -> Report:
-    """Certify that the preimage of (u_lo, u_hi) has empty interior at box scale.
+def nonfeeble_witness(woven: WovenFunction, boxes: int = 50) -> Report:
+    """Certify that the preimage of (U_LO, U_HI) has empty interior at box scale.
 
     Passes iff (a) the first-column point that `image_density_search` names
     for the interval's midpoint maps exactly to that midpoint, so the
@@ -394,12 +392,10 @@ def nonfeeble_witness(
     interval; so no basic box fits inside the preimage.  Counts the boxes
     examined.
     """
-    if not (ZERO <= u_lo < u_hi <= ONE):
-        raise ValueError("need 0 <= u_lo < u_hi <= 1")
     failures = []
     examples = []
 
-    midpoint = (u_lo + u_hi) / 2
+    midpoint = (U_LO + U_HI) / 2
     y = image_density_search(woven, midpoint)
     x0 = woven.pairing.pairs[0][0]
     member_value = woven.value(x0, y)
@@ -423,7 +419,7 @@ def nonfeeble_witness(
             examples.append(entry)
     return Report(
         "nonfeeble_witness",
-        {"boxes": boxes, "u_lo": u_lo, "u_hi": u_hi},
+        {"boxes": boxes, "u_lo": U_LO, "u_hi": U_HI},
         len(box_range),
         failures,
         examples,
@@ -440,10 +436,12 @@ def check_sections(
     `test_values_around_every_nonzero_anchor`: a line is 0 outside its
     nonzero anchors' tents, and within radius r of an anchor of value v it
     is v (1 - d)(1 - d/r) in the distance d (the bare hat, r = 1, at level
-    0).  So at each anchor a of `cross.line` the cross must give v, in
-    (0, 1], and 0 at a +- r; a quadratic's slope is linear, so each half
-    tent's two end slopes, exact from its values at a, a +- r/2 and a +- r,
-    must lie within the bound; and the next anchor must be 2r or more away.
+    0).  So at each anchor a of `cross.line` the cross must give v, and 0
+    at a +- r; a quadratic's slope is linear, so each half tent's two end
+    slopes, exact from its values at a, a +- r/2 and a +- r, must lie within
+    the bound; and the next anchor must be 2r or more away.  The range of v
+    is `check_parameter_range`'s to decide, at the same depths; a v above 1
+    also breaks the slope bound here.
     `samples_per_kind` and `seed` are ignored; the benchmark passes them.
     """
     woven.build_to(levels - 1)
@@ -460,7 +458,7 @@ def check_sections(
                     cross.value_at((t, cross.row_y) if axis == 0 else (cross.column_x, t))
                     for t in (a - r, a - r / 2, a, a + r / 2, a + r)
                 ]
-                if not (ZERO < v <= ONE and tent[2] == v and tent[0] == tent[4] == ZERO):
+                if not (tent[2] == v and tent[0] == tent[4] == ZERO):
                     failures.append({**where, "value": v, "tent": tent})
                 for p0, p1, p2 in (tent[:3], tent[2:]):
                     halves += 1

@@ -58,10 +58,13 @@ class TestEval:
         assert excinfo.value.code == 2
 
     def test_deep_coordinate_is_refused(self, capsys):
-        code, out, err = run(capsys, "eval", "--x", "63/64", "--y", "0")
-        assert code == 2
-        assert out == ""
-        assert "refused" in err
+        """The last two have enumeration indices of ten billion and more bits;
+        the cap refuses them without computing those indices."""
+        for x in ("63/64", "10000000000", "99999999999999999999/3"):
+            code, out, err = run(capsys, "eval", f"--x={x}", "--y=0")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("refused: ") and err.count("\n") == 1
 
     def test_fault_in_the_build_is_not_a_refusal(self, capsys, monkeypatch):
         monkeypatch.setattr(WovenFunction, "build_to", fault)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossweave.cross_extension import ZERO, base_value, build_cross
+from crossweave.cross_extension import ZERO, build_cross
 from crossweave.rationals import format_rational
 from crossweave.verify import brute_force_radius, cross_anchors, linear_scan_value
 from crossweave.weave import WovenFunction
@@ -153,31 +153,49 @@ class TestAnchorSetValidation:
             linear_scan_value(ORIGIN, (ORIGIN,), (ONE, Fraction(0)), ONE)
 
 
+def hat(x0, y0):
+    """The level-0 cross centered at (x0, y0): its line holds the center alone."""
+    return build_cross(0, (x0, y0), (), (), ONE)
+
+
 class TestBaseLevel:
     def test_center(self):
-        assert base_value(Fraction(0), Fraction(0), (Fraction(0), Fraction(0))) == 1
+        assert hat(Fraction(0), Fraction(0)).value_at((Fraction(0), Fraction(0))) == 1
 
     def test_linear_on_the_column(self):
-        assert base_value(
-            Fraction(0), Fraction(0), (Fraction(0), Fraction(1, 2))
+        assert hat(Fraction(0), Fraction(0)).value_at(
+            (Fraction(0), Fraction(1, 2))
         ) == Fraction(1, 2)
 
     def test_clamps_far_away(self):
-        assert base_value(Fraction(0), Fraction(0), (Fraction(5), Fraction(0))) == 0
+        assert hat(Fraction(0), Fraction(0)).value_at((Fraction(5), Fraction(0))) == 0
 
     def test_distance_along_each_line(self):
         """The hats of (0, 0) and (1/2, -2), L-infinity distance 2 apart, at
         the two points where their crosses meet."""
-        near, far = (Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-2))
-        meet_near_row, meet_near_column = (far[0], near[1]), (near[0], far[1])
-        assert base_value(*near, meet_near_row) == Fraction(1, 2)
-        assert base_value(*near, meet_near_column) == 0
-        assert base_value(*far, meet_near_row) == 0
-        assert base_value(*far, meet_near_column) == Fraction(1, 2)
+        near, far = hat(Fraction(0), Fraction(0)), hat(Fraction(1, 2), Fraction(-2))
+        meet_near_row = (far.column_x, near.row_y)
+        meet_near_column = (near.column_x, far.row_y)
+        assert near.value_at(meet_near_row) == Fraction(1, 2)
+        assert near.value_at(meet_near_column) == 0
+        assert far.value_at(meet_near_row) == 0
+        assert far.value_at(meet_near_column) == Fraction(1, 2)
 
     def test_rejects_off_cross(self):
         with pytest.raises(ValueError):
-            base_value(Fraction(0), Fraction(0), (Fraction(1), Fraction(1)))
+            hat(Fraction(0), Fraction(0)).value_at((Fraction(1), Fraction(1)))
+
+    @given(center=st.tuples(coordinate, coordinate), offset=coordinate)
+    @example(center=(Fraction(-3, 2), Fraction(1, 3)), offset=Fraction(1))
+    @example(center=(Fraction(-3, 2), Fraction(1, 3)), offset=Fraction(-1))
+    @example(center=(Fraction(2), Fraction(-7, 8)), offset=Fraction(-5, 4))
+    def test_matches_the_linear_scan(self, center, offset):
+        """On both lines of a level-0 cross, at every distance from its center
+        up to and beyond 1, the stored line gives the reference's bare hat."""
+        cross = hat(*center)
+        x0, y0 = center
+        for point in ((x0, y0 + offset), (x0 + offset, y0)):
+            assert cross.value_at(point) == linear_scan_value(point, [center], [ONE], ONE)
 
     def test_build_cross_delegates_level_zero(self):
         cross = build(0, (Fraction(0),), (Fraction(0),), (), ())
@@ -252,6 +270,11 @@ class TestBuildValidation:
         zero = [(Fraction(0), Fraction(0))]
         with pytest.raises(ValueError):
             build_cross(1, center, zero, zero, radius)
+
+    def test_level_zero_needs_the_hat_reach(self):
+        """Level 0's tent test is its hat's support, so its radius is 1."""
+        with pytest.raises(ValueError, match="be 1 at level 0"):
+            build_cross(0, ORIGIN, (), (), Fraction(1, 2))
 
 
 class TestCrossProperties:

@@ -205,6 +205,20 @@ class TestLevelLookup:
         # the cap bounded the wasted work
         assert len(pairing) <= 102
 
+    @pytest.mark.parametrize("axis", ["x_level", "y_level"])
+    def test_cap_refuses_without_the_index(self, axis, monkeypatch):
+        """10^10 has an index of ten billion bits; a capped lookup must not
+        build it, since the cap alone bounds the search."""
+
+        def index_of(value):
+            raise AssertionError(f"computed the index of {value}")
+
+        monkeypatch.setattr(pairing_module, "index_of", index_of)
+        pairing = Pairing()
+        with pytest.raises(Refusal):
+            getattr(pairing, axis)(Fraction(10**10), max_level=8)
+        assert len(pairing) == 9
+
     def test_found_below_cap_is_fine(self):
         pairing = Pairing()
         assert pairing.x_level(Fraction(1, 2), max_level=100) == 2

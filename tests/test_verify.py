@@ -10,12 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from crossweave import cross_extension, verify
+from crossweave import verify
 from crossweave.cross_extension import CrossFunction, build_cross
 from crossweave.verify import (
     DEFAULT_SEED,
     MAX_ORACLE_LEVEL,
     SUITES,
+    U_HI,
+    U_LO,
     Refusal,
     Report,
     brute_force_radius,
@@ -38,9 +40,20 @@ from towers import coprime_coordinates, dyadic_coordinates, tower_on, wide_gap_c
 
 
 def steeper_hat(x0, y0, point):
-    """A level-0 hat of slope 1001/1000, to stand in for `base_value`."""
+    """A level-0 hat of slope 1001/1000 centered at (x0, y0)."""
     distance = max(abs(point[0] - x0), abs(point[1] - y0))
     return max(Fraction(0), 1 - Fraction(1001, 1000) * distance)
+
+
+def use_steeper_hat(monkeypatch):
+    """Evaluate every level-0 cross by `steeper_hat`, and the rest as built."""
+    value_at = CrossFunction.value_at
+
+    def patched(self, point):
+        value = value_at(self, point)  # refuses a point off the cross
+        return steeper_hat(self.column_x, self.row_y, point) if self.level == 0 else value
+
+    monkeypatch.setattr(CrossFunction, "value_at", patched)
 
 
 @pytest.fixture(scope="module")
@@ -341,15 +354,13 @@ class TestNonfeebleWitness:
         assert Fraction(1, 4) < member["value"] < Fraction(3, 4)
 
     def test_member_value_is_the_exact_midpoint(self, woven):
-        report = nonfeeble_witness(woven, 3, Fraction(1, 5), Fraction(1, 3))
+        report = nonfeeble_witness(woven, boxes=3)
         member = next(w for w in report.witnesses if w["kind"] == "member")
-        assert member["value"] == Fraction(4, 15)
-
-    def test_rejects_bad_intervals(self, woven):
-        with pytest.raises(ValueError):
-            nonfeeble_witness(woven, 3, Fraction(3, 4), Fraction(1, 4))
-        with pytest.raises(ValueError):
-            nonfeeble_witness(woven, 3, Fraction(1, 2), Fraction(5, 4))
+        assert member["value"] == (U_LO + U_HI) / 2 == Fraction(1, 2)
+        # the search it relies on hits an off-center midpoint exactly too
+        x0 = woven.pairing.pairs[0][0]
+        y = image_density_search(woven, Fraction(4, 15))
+        assert woven.value(x0, y) == Fraction(4, 15)
 
 
 class TestSectionContinuity:
@@ -598,7 +609,7 @@ class TestReportsAndDriver:
 
     def test_density_suite_fails_a_steeper_hat(self, monkeypatch):
         """A level-0 hat of slope 1001/1000 misses every target but 0 and 1."""
-        monkeypatch.setattr(cross_extension, "base_value", steeper_hat)
+        use_steeper_hat(monkeypatch)
         [report] = run_suite("density")
         assert not report.passed
         first = report.witnesses[0]
@@ -608,7 +619,7 @@ class TestReportsAndDriver:
     def test_lipschitz_suite_fails_a_steeper_hat(self, monkeypatch):
         """The same hat reaches 0 before distance 1, so each half of its
         level-0 tent, read at 0, 1/2 and 1, has an end slope of 501/500."""
-        monkeypatch.setattr(cross_extension, "base_value", steeper_hat)
+        use_steeper_hat(monkeypatch)
         [report] = run_suite("lipschitz")
         assert not report.passed
         slopes = {(w["level"], w["kind"], tuple(w["slopes"])) for w in report.failures}
@@ -624,7 +635,7 @@ class TestReportsAndDriver:
     def test_witness_suite_fails_a_steeper_hat(self, monkeypatch):
         """The same hat maps the midpoint's point to 999/2000, inside (1/4, 3/4)
         but not the midpoint 1/2; the boxes still pass."""
-        monkeypatch.setattr(cross_extension, "base_value", steeper_hat)
+        use_steeper_hat(monkeypatch)
         [report] = run_suite("witness")
         assert not report.passed
         [member] = report.failures
