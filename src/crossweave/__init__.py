@@ -20,7 +20,6 @@ from .rationals import (
     parse_rational,
 )
 from .verify import (
-    DEFAULT_SEED,
     MAX_ORACLE_LEVEL,
     Report,
     check_image_density,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Box",
     "CrossFunction",
-    "DEFAULT_SEED",
     "MAX_ORACLE_LEVEL",
     "Pairing",
     "Point",

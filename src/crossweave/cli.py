@@ -25,7 +25,7 @@ from typing import IO, Iterator
 
 from .pairing import Pairing, Refusal
 from .rationals import Rational, decimal_approx, format_rational, parse_rational
-from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, run_suite
 from .weave import WovenFunction
 
 DEFAULT_MAX_LEVEL = 512
@@ -102,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the suite's canonical scale, up to the suite's maximum; "
         "refused with --suite all",
-    )
-    cmd_verify.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed of the oracle's sample points"
     )
     cmd_verify.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -204,7 +201,7 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = run_suite(args.suite, depth=args.depth, seed=args.seed)
+    reports = run_suite(args.suite, depth=args.depth)
     with _stdout():
         if args.format == "json":
             print(json.dumps([report.to_dict() for report in reports], indent=2))

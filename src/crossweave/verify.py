@@ -16,8 +16,9 @@ The checks deliberately re-derive what they test through independent routes:
   oracle derives the levels bottom-up, each level's anchors, values and
   radius once per list of derived levels, scoped to one check, and
   evaluates points by the same scan.  It refuses above `MAX_ORACLE_LEVEL`.
-  `check_oracle_equivalence` compares its sampled points and then every
-  level it derived, values and radius, with the tower.
+  `check_oracle_equivalence` derives every level up to its depth, tests
+  the tower at eleven points along each nonzero tent the oracle derived,
+  and compares every derived level, values and radius, with the tower.
 
   Both work on an integer lattice, and a derived level is kept only in
   that form (`Level`): its anchors as the integers a L, with L the lcm of
@@ -50,7 +51,6 @@ The checks deliberately re-derive what they test through independent routes:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -60,23 +60,13 @@ from .pairing import Pairing, Point, Refusal, enumerate_box
 from .rationals import Rational, format_rational
 from .weave import WovenFunction
 
-DEFAULT_SEED = 1729
 MAX_ORACLE_LEVEL = 256
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_DENOMINATOR_POOL = (1, 2, 3, 4, 8, 16, 64)
-
 # the value interval (U_LO, U_HI) whose preimage `nonfeeble_witness` certifies
 U_LO, U_HI = Fraction(1, 4), Fraction(3, 4)
-
-
-def random_rational(rng: random.Random) -> Rational:
-    """A small random rational in [-8, 8] with a mixed denominator."""
-    denominator = rng.choice(_DENOMINATOR_POOL)
-    numerator = rng.randint(-8 * denominator, 8 * denominator)
-    return Fraction(numerator, denominator)
 
 
 def _plain(value: object) -> object:
@@ -249,10 +239,10 @@ def oracle_eval(
     radius by brute force; the level is kept in integers, as a `Level`.
     Refuses when the level of x exceeds `max_level`, and refuses a
     `max_level` above the depth cap `MAX_ORACLE_LEVEL`.  Pass one `derived`
-    list to share the derived levels across calls on the same pairing (as
-    `check_oracle_equivalence` does); that is sound because a level depends
-    only on the pairs up to it, and a pairing only appends.  Without one, a
-    fresh list is used.
+    list to share the derived levels across calls on the same pairing, or
+    to read them back (as `check_oracle_equivalence` does); that is sound
+    because a level depends only on the pairs up to it, and a pairing only
+    appends.  Without one, a fresh list is used.
     """
     if max_level > MAX_ORACLE_LEVEL:
         raise Refusal(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
@@ -432,7 +422,7 @@ def check_sections(
     """Both lines of every level below `levels` obey its Lipschitz bound at
     every point; counts the half tents examined.
 
-    Premise, certified by the oracle's samples and the tent digest of
+    Premise, certified by the oracle's tent points and the tent digest of
     `test_values_around_every_nonzero_anchor`: a line is 0 outside its
     nonzero anchors' tents, and within radius r of an anchor of value v it
     is v (1 - d)(1 - d/r) in the distance d (the bare hat, r = 1, at level
@@ -473,82 +463,80 @@ def check_sections(
 
 
 def check_oracle_equivalence(
-    woven: WovenFunction,
-    max_level: int = 10,
-    samples: int = 200,
-    seed: int = DEFAULT_SEED,
+    woven: WovenFunction, max_level: int = 10, samples: int = 0, seed: int = 0
 ) -> Report:
-    """The memoized tower must match the independent oracle exactly.
+    """The tower must match the independent oracle exactly at every level
+    0..`max_level`.
 
-    Samples are column points (x_m, q) with the level m uniform over
-    0..max_level and q a random small rational.  All samples share one
-    list of oracle-derived levels, created here, so the oracle derives each
-    level once per check and holds nothing between checks.  A column point
-    reads none of its level's row values, so afterwards every derived level
-    n is compared entry by entry with the tower's: entries 0..2n are its
-    values, [*column_params[n], 1, *row_params[n]], and entry 2n + 1 its
-    radius.  Counts the samples plus the compared entries.  Refuses a
-    `max_level` outside 0..`MAX_ORACLE_LEVEL`.
+    One `oracle_eval` at level `max_level`'s center derives every level
+    into one list, created here, so the check holds nothing between runs.
+    Then, at each level n, the points come from the oracle alone: at each
+    anchor a of nonzero derived value, along its line (the center along
+    both), a + k r/4 for k in -5..5, with r the derived radius, covers the
+    tent's inside, its edge and just past it, and there the level's cross
+    must equal the oracle's scan.  Last, every entry of the derived level is
+    compared with the tower's: entries 0..2n are its values,
+    [*column_params[n], 1, *row_params[n]], and entry 2n + 1 its radius.
+    Counts the points plus the compared entries.  Refuses a `max_level`
+    outside 0..`MAX_ORACLE_LEVEL`.  `samples` and `seed` are ignored; the
+    benchmark passes them.
     """
     if not 0 <= max_level <= MAX_ORACLE_LEVEL:
         raise Refusal(f"max_level must lie in 0..{MAX_ORACLE_LEVEL}, got {max_level}")
     woven.build_to(max_level)
-    rng = random.Random(seed)
     derived: list[Level] = []
-    drawn = range(samples)
+    oracle_eval(woven.pairing, *woven.pairing.pairs[max_level], max_level, derived)
     failures = []
-    for _ in drawn:
-        level = rng.randint(0, max_level)
-        x = woven.pairing.pairs[level][0]
-        y = random_rational(rng)
-        fast = woven.value(x, y)
-        slow = oracle_eval(woven.pairing, x, y, max_level, derived)
-        if fast != slow:
-            failures.append({"level": level, "x": x, "y": y, "fast": fast, "oracle": slow})
-    compared = 0
-    for n, (_, _, denominator, values, radius) in enumerate(derived):
-        tower = [*woven.column_params[n], ONE, *woven.row_params[n], woven.cross(n).radius]
+    checked = 0
+    for n, level in enumerate(derived):
+        scale, lattice, denominator, values, radius = level
+        steps = [k * Fraction(*radius) / 4 for k in range(-5, 6)]
+        cross = woven.cross(n)
+        points = []
+        # anchors 0..n lie on the column, anchors n..2n on the row
+        for i, ((ax, ay), v) in enumerate(zip(lattice, values)):
+            if not v:
+                continue
+            x, y = Fraction(ax, scale), Fraction(ay, scale)
+            if i <= n:
+                points += [(x, y + step) for step in steps]
+            if i >= n:
+                points += [(x + step, y) for step in steps]
+        for point in points:
+            fast, slow = cross.value_at(point), _scan(point, level)
+            if fast != slow:
+                failures.append(
+                    {"level": n, "x": point[0], "y": point[1], "tower": fast, "oracle": slow}
+                )
+        tower = [*woven.column_params[n], ONE, *woven.row_params[n], cross.radius]
         oracle = [*(Fraction(v, denominator) for v in values), Fraction(*radius)]
         for entry, (expected, found) in enumerate(zip(tower, oracle, strict=True)):
             if expected != found:
                 failures.append({"level": n, "entry": entry, "tower": expected, "oracle": found})
-        compared += len(tower)
-    return Report(
-        "oracle_equivalence",
-        {"max_level": max_level, "samples": samples, "seed": seed},
-        len(drawn) + compared,
-        failures,
-    )
+        checked += len(points) + len(tower)
+    return Report("oracle_equivalence", {"max_level": max_level}, checked, failures)
 
 
 # -- suite driver ------------------------------------------------------------
 
-# suite name -> (canonical depth, maximum depth, the check at a depth and
-# seed); each maximum runs in under about 30 s on a 2-core Xeon VM, and each
+# suite name -> (canonical depth, maximum depth, the check at a depth);
+# each maximum runs in under about 30 s on a 2-core Xeon VM, and each
 # check is looked up by its module name when it runs, so a wrapped or
 # replaced check takes effect
 SUITES = {
-    "singleton": (512, 16384, lambda woven, depth, seed: check_singleton_image(woven, depth)),
-    "range": (512, 16384, lambda woven, depth, seed: check_parameter_range(woven, depth)),
-    "welldef": (128, 1024, lambda woven, depth, seed: check_welldefined(woven, depth, depth)),
-    "density": (20, 10**5, lambda woven, depth, seed: check_image_density(woven, pitch=depth)),
-    "witness": (50, 4096, lambda woven, depth, seed: nonfeeble_witness(woven, boxes=depth)),
-    "lipschitz": (512, 16384, lambda woven, depth, seed: check_sections(woven, depth)),
-    "oracle": (
-        64,
-        MAX_ORACLE_LEVEL,
-        lambda woven, depth, seed: check_oracle_equivalence(
-            woven, max_level=depth, seed=seed
-        ),
-    ),
+    "singleton": (512, 16384, lambda woven, depth: check_singleton_image(woven, depth)),
+    "range": (512, 16384, lambda woven, depth: check_parameter_range(woven, depth)),
+    "welldef": (128, 1024, lambda woven, depth: check_welldefined(woven, depth, depth)),
+    "density": (20, 10**5, lambda woven, depth: check_image_density(woven, pitch=depth)),
+    "witness": (50, 4096, lambda woven, depth: nonfeeble_witness(woven, boxes=depth)),
+    "lipschitz": (512, 16384, lambda woven, depth: check_sections(woven, depth)),
+    "oracle": (64, MAX_ORACLE_LEVEL, lambda woven, depth: check_oracle_equivalence(woven, depth)),
 }
 
 SUITE_NAMES = ("all", *SUITES)
 
 
-def run_suite(
-    suite: str, depth: int | None = None, seed: int = DEFAULT_SEED
-) -> list[Report]:
+def run_suite(suite: str, depth: int | None = None) -> list[Report]:
     """Run one named suite, or all of them at their canonical depths.
 
     `depth` overrides the canonical scale of a single suite; its meaning is
@@ -565,6 +553,6 @@ def run_suite(
     woven = WovenFunction()
     selected = SUITES if suite == "all" else {suite: SUITES[suite]}
     return [
-        check(woven, canonical if depth is None else depth, seed)
+        check(woven, canonical if depth is None else depth)
         for canonical, _, check in selected.values()
     ]

@@ -13,7 +13,6 @@ import pytest
 
 import crossweave.cli as cli
 from crossweave import (
-    DEFAULT_SEED,
     Pairing,
     WovenFunction,
     check_image_density,
@@ -80,17 +79,15 @@ def test_criterion_5_no_open_box_inside_the_middle_preimage(woven512):
 
 
 def test_criterion_6_memoized_tower_matches_naive_recursion(woven512):
-    report = check_oracle_equivalence(
-        woven512, max_level=128, samples=200, seed=DEFAULT_SEED
-    )
+    report = check_oracle_equivalence(woven512, max_level=128)
     announce(
         6,
-        "memoized evaluation equals the independent oracle on 200 points and 129 levels",
+        "memoized evaluation equals the independent oracle on 7 700 tent points and 129 levels",
         report.passed,
     )
     assert report.passed, report.text_line()
-    # 200 samples, then levels 0..128 of the oracle, 2n + 1 values and a radius each
-    assert report.checked == 200 + sum(2 * n + 2 for n in range(129)) == 16_970
+    # 7 700 tent points, then levels 0..128 of the oracle, 2n + 1 values and a radius each
+    assert report.checked == 7_700 + sum(2 * n + 2 for n in range(129)) == 24_470
 
 
 def test_criterion_7_sections_obey_their_lipschitz_bounds(woven512):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import json
-import random
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ import pytest
 from crossweave import verify
 from crossweave.cross_extension import CrossFunction, build_cross
 from crossweave.verify import (
-    DEFAULT_SEED,
     MAX_ORACLE_LEVEL,
     SUITES,
     U_HI,
@@ -32,7 +30,6 @@ from crossweave.verify import (
     linear_scan_value,
     nonfeeble_witness,
     oracle_eval,
-    random_rational,
     run_suite,
 )
 from crossweave.weave import WovenFunction
@@ -56,6 +53,26 @@ def use_steeper_hat(monkeypatch):
     monkeypatch.setattr(CrossFunction, "value_at", patched)
 
 
+def halve_the_outer_halves(monkeypatch):
+    """From level 40 on, halve every nonzero value farther than r/2 from its
+    anchor, and evaluate the rest as built."""
+    value_at = CrossFunction.value_at
+
+    def patched(self, point):
+        value = value_at(self, point)
+        if self.level < 40 or not value:
+            return value
+        axis = 1 if point[0] == self.column_x else 0
+        distance = min(abs(point[axis] - a) for a in self.line(axis)[0])
+        return value / 2 if distance > self.radius / 2 else value
+
+    monkeypatch.setattr(CrossFunction, "value_at", patched)
+
+
+# free coordinates on both sides of zero, integers and mixed denominators
+SWEEP = sorted({Fraction(n, d) for d in (1, 3, 8) for n in range(-8 * d, 8 * d + 1, 3 * d - 1)})
+
+
 @pytest.fixture(scope="module")
 def woven():
     instance = WovenFunction()
@@ -71,12 +88,10 @@ class TestOracle:
         assert oracle_eval(pairing, Fraction(1, 2), Fraction(0)) == Fraction(1, 2)
 
     def test_matches_fast_path_on_a_sweep(self, woven):
-        rng = random.Random(7)
-        for _ in range(25):
-            level = rng.randint(0, 7)
+        for level in range(8):
             x = woven.pairing.pairs[level][0]
-            y = random_rational(rng)
-            assert woven.value(x, y) == oracle_eval(woven.pairing, x, y, 8)
+            for y in SWEEP:
+                assert woven.value(x, y) == oracle_eval(woven.pairing, x, y, 8)
 
     def test_refuses_deep_levels(self, woven):
         x = woven.pairing.pairs[5][0]
@@ -88,35 +103,68 @@ class TestOracle:
             oracle_eval(woven.pairing, Fraction(0), Fraction(0), MAX_ORACLE_LEVEL + 1)
 
     def test_equivalence_check_passes(self, woven):
-        report = check_oracle_equivalence(woven, max_level=4, samples=40)
+        report = check_oracle_equivalence(woven, max_level=4)
         assert report.passed
-        assert report.bounds["samples"] == 40
+        assert report.bounds == {"max_level": 4}
 
     def test_equivalence_check_compares_every_derived_level(self):
-        """After its samples, the check compares each derived level's values
-        and radius with the tower's, so a wrong row value fails it although
-        no sampled column point reads it."""
+        """After its tent points, the check compares each derived level's
+        values and radius with the tower's, so a wrong table entry fails it
+        although no point reads it."""
         tower = WovenFunction()
-        report = check_oracle_equivalence(tower, max_level=6, samples=40)
-        # levels 0..6 derived, 2n + 1 values and one radius each
-        assert report.passed and report.checked == 40 + sum(2 * n + 2 for n in range(7))
+        report = check_oracle_equivalence(tower, max_level=6)
+        # 242 tent points, then levels 0..6, 2n + 1 values and one radius each
+        assert report.passed and report.checked == 242 + sum(2 * n + 2 for n in range(7)) == 298
         rows = [list(tower.row_params[n]) for n in range(7)]
         rows[6][2] = Fraction(1, 3)
         tower.row_params = rows
-        report = check_oracle_equivalence(tower, max_level=6, samples=40)
+        report = check_oracle_equivalence(tower, max_level=6)
         assert report.failures == [
             {"level": 6, "entry": 9, "tower": Fraction(1, 3), "oracle": 0}
         ]
 
+    @pytest.mark.parametrize("seed", [1729, 4])
+    def test_every_level_up_to_the_cap_is_compared(self, seed):
+        """Levels 0..64 are all derived and compared whatever the ignored
+        `seed`: eleven points per nonzero tent of each stored line, plus
+        2n + 2 entries per level."""
+        tower = WovenFunction()
+        report = check_oracle_equivalence(tower, max_level=64, seed=seed)
+        assert report.passed
+        tents = sum(len(tower.cross(n).line(axis)[0]) for n in range(65) for axis in (0, 1))
+        assert report.checked - 11 * tents == sum(2 * n + 2 for n in range(65)) == 4_290
+
+    def test_points_span_each_nonzero_tent(self, monkeypatch):
+        """At level 5 the check evaluates the cross at a + k r/4, k in -5..5,
+        around each nonzero anchor a of each line, the center on both."""
+        tower = WovenFunction()
+        tower.build_to(5)
+        seen = []
+        value_at = CrossFunction.value_at
+
+        def recording(cross, point):
+            if cross.level == 5:
+                seen.append(point)
+            return value_at(cross, point)
+
+        monkeypatch.setattr(CrossFunction, "value_at", recording)
+        assert check_oracle_equivalence(tower, max_level=5).passed
+        cross = tower.cross(5)
+        steps = [k * cross.radius / 4 for k in range(-5, 6)]
+        rows, columns = (cross.line(axis)[0] for axis in (0, 1))
+        expected = [(cross.column_x, a + step) for a in columns for step in steps]
+        expected += [(a + step, cross.row_y) for a in rows for step in steps]
+        assert sorted(seen) == sorted(expected)
+
     def test_equivalence_check_rejects_deep_cap(self, woven):
         with pytest.raises(Refusal):
-            check_oracle_equivalence(woven, max_level=MAX_ORACLE_LEVEL + 1, samples=1)
+            check_oracle_equivalence(woven, max_level=MAX_ORACLE_LEVEL + 1)
 
     def test_equivalence_check_refuses_a_negative_level(self, woven):
         """A negative `max_level` is a refusal, as in `oracle_eval`, not a
-        fault from drawing a level out of an empty range."""
+        fault from deriving no level."""
         with pytest.raises(Refusal, match=f"0..{MAX_ORACLE_LEVEL}"):
-            check_oracle_equivalence(woven, max_level=-1, samples=1)
+            check_oracle_equivalence(woven, max_level=-1)
         with pytest.raises(Refusal):
             oracle_eval(woven.pairing, Fraction(0), Fraction(0), max_level=-1)
 
@@ -377,11 +425,9 @@ class TestSectionContinuity:
         assert report.bounds["levels"] == 6
         # the column is the definition's route: on the columns of levels
         # 0, 1 and 5 the public evaluator is the level's cross
-        rng = random.Random(DEFAULT_SEED)
         for level in (0, 1, 5):
             x = woven.pairing.pairs[level][0]
-            for _ in range(20):
-                y = random_rational(rng)
+            for y in SWEEP:
                 assert woven.value(x, y) == woven.cross(level).value_at((x, y))
 
     def test_row_sections(self, woven):
@@ -476,9 +522,8 @@ class TestNothingExaminedFails:
             lambda tower: check_image_density(tower, pitch=0),
             lambda tower: nonfeeble_witness(tower, 0),
             lambda tower: check_sections(tower, levels=0),
-            lambda tower: check_oracle_equivalence(tower, 3, samples=0),
         ],
-        ids=["singleton", "welldef", "range", "density", "witness", "lipschitz", "oracle"],
+        ids=["singleton", "welldef", "range", "density", "witness", "lipschitz"],
     )
     def test_zero_scale_examines_nothing(self, woven, check):
         report = check(woven)
@@ -513,7 +558,7 @@ class TestHandTowers:
             lambda tower, n: check_welldefined(tower, n, n),
             lambda tower, n: check_sections(tower, n),
             check_parameter_range,
-            lambda tower, n: check_oracle_equivalence(tower, n - 1, samples=20),
+            lambda tower, n: check_oracle_equivalence(tower, n - 1),
         ],
         ids=["singleton", "welldef", "lipschitz", "range", "oracle"],
     )
@@ -543,7 +588,7 @@ class TestHandTowers:
             return separation, 2 * scale
 
         monkeypatch.setattr(verify, "_radius", capless_radius)
-        report = check_oracle_equivalence(tower_on(*wide_gap_coordinates()), 2, samples=20)
+        report = check_oracle_equivalence(tower_on(*wide_gap_coordinates()), 2)
         assert not report.passed
         assert report.witnesses[0]["level"] == 1
 
@@ -566,14 +611,6 @@ class TestReportsAndDriver:
     def test_text_line_shape(self):
         line = Report(name="demo", bounds={"n": 3}, checked=0, failures=[]).text_line()
         assert line == "FAIL demo  n=3  checked=0"
-
-    def test_random_rational_is_seeded_and_bounded(self):
-        values_a = [random_rational(random.Random(11)) for _ in range(1)]
-        values_b = [random_rational(random.Random(11)) for _ in range(1)]
-        assert values_a == values_b
-        for _ in range(200):
-            value = random_rational(random.Random())
-            assert abs(value) <= 8
 
     def test_run_suite_rejects_unknown_names(self):
         with pytest.raises(Refusal):
@@ -640,3 +677,18 @@ class TestReportsAndDriver:
         assert not report.passed
         [member] = report.failures
         assert (member["kind"], member["value"]) == ("member", Fraction(999, 2000))
+
+    def test_oracle_suite_fails_halved_outer_halves(self, monkeypatch):
+        """Halving each tent's outer half from level 40 on keeps every value
+        at a, a +- r/2 and a +- r, so `check_sections` misses it; the
+        oracle's points at a +- 3r/4 do not."""
+        halve_the_outer_halves(monkeypatch)
+        [report] = run_suite("oracle")
+        assert not report.passed
+        assert report.witnesses[0] == {
+            "level": 40,
+            "x": Fraction(-7, 3),
+            "y": Fraction(-2249, 960),
+            "tower": Fraction(317, 2560),
+            "oracle": Fraction(317, 1280),
+        }
