@@ -13,12 +13,12 @@ function of its length.  Task 2 walks a canonical enumeration of open boxes
 with rational corners (a countable base of the plane's topology), which is
 what makes the sequence dense.
 
-Every scan walks enumeration indices and tests a candidate in integers: the
-numerator and denominator of e(i) against a box side by cross-multiplying,
-and "unused" against a set of indices.  That set stays small because each
-axis keeps a scan start below which every index is already used (see
-`Pairing`).  A `Fraction` is built only for the value a scan picks and for
-the corners of the boxes it yields.
+Every scan walks enumeration indices in integers: it steps from the terms
+of e(i) to those of e(i + 1) by Newman's successor, tests them against a box
+side by cross-multiplying, and tests "unused" against a small set of indices
+(see `Pairing`).  A box side is tested by the ranks of its two corners.  A
+`Fraction` is built only for the value a scan picks and for the corners of
+the boxes it yields, and a coordinate's level only when a lookup asks.
 """
 
 from __future__ import annotations
@@ -57,36 +57,29 @@ class Box:
         return self.x_lo < x < self.x_hi and self.y_lo < y < self.y_hi
 
 
-def _precedes(i: int, j: int) -> bool:
-    """e(i) < e(j), by cross-multiplying their terms (denominators are positive)."""
-    i_num, i_den = enumerate_terms(i)
-    j_num, j_den = enumerate_terms(j)
-    return i_num * j_den < j_num * i_den
-
-
 def _open_boxes() -> Iterator[Box]:
     """The boxes (e(i), e(j)) x (e(k), e(l)) with both sides nonempty, in the
     order of their 4-tuples: by increasing i + j + k + l, ties lexicographic.
 
-    The x side is tested once per (i, j); when it is empty, every (k, l)
-    that would complete it is skipped untested.
+    No index of a tuple exceeds its sum, so each sum's tuples need only
+    e(0) .. e(total), and a side (e(i), e(j)) is nonempty exactly when the
+    rank of e(i) among those values is below that of e(j).  The x side is
+    tested once per (i, j); when it is empty, every (k, l) that would
+    complete it is skipped untested.
     """
-    total = 0
+    values: list[Rational] = []
     while True:
+        total = len(values)
+        values.append(enumerate_rational(total))
+        rank = list(map(sorted(values).index, values))
         for i in range(total + 1):
             for j in range(total + 1 - i):
-                if not _precedes(i, j):
+                if rank[i] >= rank[j]:
                     continue
                 for k in range(total + 1 - i - j):
                     l = total - i - j - k
-                    if _precedes(k, l):
-                        yield Box(
-                            enumerate_rational(i),
-                            enumerate_rational(j),
-                            enumerate_rational(k),
-                            enumerate_rational(l),
-                        )
-        total += 1
+                    if rank[k] < rank[l]:
+                        yield Box(values[i], values[j], values[k], values[l])
 
 
 # the box stream is shared by the whole process; `_box_lock` serialises its growth
@@ -131,17 +124,19 @@ class Pairing:
     An index at or above the start is used only if a bounded pick (task 2)
     took it, so each axis keeps just those indices in a small set, and an
     index leaves the set once the scan start moves past it.  "Unused" is
-    then "at or above the start and not in the set".  `level_of_x` and
-    `level_of_y` remain the only map from a coordinate to its level.
+    then "at or above the start and not in the set".
+
+    `pairs` is the only record of the sequence.  A lookup that misses fills
+    its axis's map from coordinate to level from the pairs placed since the
+    last fill; coordinates never repeat on an axis, so the map's length
+    marks how far it reaches.
     """
 
     def __init__(self) -> None:
         self.pairs: list[Point] = []
-        self.level_of_x: dict[Rational, int] = {}
-        self.level_of_y: dict[Rational, int] = {}
         # per axis, 0 for x and 1 for y: its level index, its scan start,
         # and the indices at or above the start that bounded picks took
-        self._level_of = (self.level_of_x, self.level_of_y)
+        self._level_of: tuple[dict[Rational, int], dict[Rational, int]] = ({}, {})
         self._next = [0, 0]
         self._ahead: tuple[set[int], set[int]] = (set(), set())
 
@@ -157,6 +152,9 @@ class Pairing:
 
         Only an unbounded pick is consumed outright and moves the scan start;
         a bounded pick is recorded in the axis's set of indices ahead of it.
+        A bounded scan steps from one enumerated value to the next in terms:
+        t(m) is followed by -t(m), and -t(m) by Newman's successor
+        t(m + 1) = 1 / (2 floor(t(m)) - t(m) + 1), which from 0 gives 1.
         """
         ahead = self._ahead[axis]
         index = self._next[axis]
@@ -168,13 +166,17 @@ class Pairing:
             return enumerate_rational(index)
         lo_num, lo_den = lo.numerator, lo.denominator
         hi_num, hi_den = hi.numerator, hi.denominator
-        while True:
-            if index not in ahead:
-                num, den = enumerate_terms(index)
-                if lo_num * den < num * lo_den and num * hi_den < hi_num * den:
-                    ahead.add(index)
-                    return enumerate_rational(index)
+        num, den = enumerate_terms(index)
+        while index in ahead or not (
+            lo_num * den < num * lo_den and num * hi_den < hi_num * den
+        ):
             index += 1
+            if num > 0:
+                num = -num
+            else:
+                num, den = den, (2 * (-num // den) + 1) * den + num
+        ahead.add(index)
+        return Rational(num, den)
 
     def extend(self, steps: int) -> None:
         """Append `steps` pairs by the round-robin schedule."""
@@ -187,8 +189,6 @@ class Pairing:
             else:
                 x = self._take_least_unused(0)
                 y = self._take_least_unused(1)
-            self.level_of_x[x] = step
-            self.level_of_y[y] = step
             self.pairs.append((x, y))
 
     def ensure_length(self, count: int) -> None:
@@ -213,23 +213,23 @@ class Pairing:
         return self._level(1, value, max_level)
 
     def _level(self, axis: int, value: Rational, max_level: int | None) -> int:
-        levels = self._level_of[axis]
-        name = "xy"[axis]
-        level = levels.get(value)
-        if level is not None:
-            if max_level is not None and level > max_level:
+        levels, pairs, bound = self._level_of[axis], self.pairs, None
+        while (level := levels.get(value)) is None:
+            if len(levels) < len(pairs):  # index the pairs placed since the last miss
+                for n in range(len(levels), len(pairs)):
+                    levels[pairs[n][axis]] = n
+                continue
+            # a cap alone bounds the search: the index i has as many bits as the
+            # sum of the value's continued-fraction quotients, so skip computing it
+            if bound is None:
+                bound = 3 * (index_of(value) + 1) if max_level is None else max_level + 1
+            if len(pairs) >= bound:
                 raise Refusal(
-                    f"level of {name}-coordinate is {level}, above the cap {max_level}"
+                    f"level of {'xy'[axis]}-coordinate would exceed max_level={max_level}"
                 )
-            return level
-        # a cap alone bounds the search: the index i has as many bits as the
-        # sum of the value's continued-fraction quotients, so skip computing it
-        bound = 3 * (index_of(value) + 1) if max_level is None else max_level + 1
-        while value not in levels and len(self.pairs) < bound:
             self.extend(1)
-        level = levels.get(value)
-        if level is None:
+        if max_level is not None and level > max_level:
             raise Refusal(
-                f"level of {name}-coordinate would exceed max_level={max_level}"
+                f"level of {'xy'[axis]}-coordinate is {level}, above the cap {max_level}"
             )
         return level

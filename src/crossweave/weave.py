@@ -149,7 +149,7 @@ class ParameterTable:
         self, crosses: list[CrossFunction], pairing: Pairing, axis: int
     ) -> None:
         self._crosses = crosses
-        self._level_of = (pairing.level_of_x, pairing.level_of_y)[axis]
+        self._level = (pairing.x_level, pairing.y_level)[axis]
         self._axis = axis
 
     def __len__(self) -> int:
@@ -159,7 +159,7 @@ class ParameterTable:
         cross = self._crosses[level]
         params = [ZERO] * cross.level
         for a, value in zip(*cross.line(self._axis)):
-            i = self._level_of[a]
+            i = self._level(a)
             if i < cross.level:  # the center, at level n itself, is no parameter
                 params[i] = value
         return tuple(params)

@@ -332,6 +332,8 @@ class TestOutputs:
             outputs[name] = out.read_bytes()
         assert cli.main(["pairs", "--count", "40000", "--json"]) == 0
         outputs["pairs40000.json"] = capsys.readouterr().out.encode("ascii")
+        assert cli.main(["pairs", "--count", "40000"]) == 0
+        outputs["pairs40000.txt"] = capsys.readouterr().out.encode("ascii")
         tent = [("18/13", y) for y in ("1093/1092", "1637/1638", "547/546")]
         tent += [("-16/23", y) for y in ("-9991/14280", "-14999/21420", "-4993/7140")]
         for x, y in tent:

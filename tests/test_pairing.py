@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossweave.cli as cli
 from crossweave import pairing as pairing_module
 from crossweave.pairing import Box, Pairing, Refusal, enumerate_box
-from crossweave.rationals import enumerate_rational, index_of
+from crossweave.rationals import enumerate_rational, enumerate_terms, index_of
+from crossweave.weave import WovenFunction
 
 EXPECTED_PREFIX = [
     (Fraction(0), Fraction(0)),
@@ -44,6 +46,19 @@ def reference_boxes(count, max_sum=22):
     ]
     assert len(boxes) >= count, "raise max_sum"
     return boxes[:count]
+
+
+def scan_to(start, steps):
+    """The value a bounded scan from index `start` picks at index
+    start + steps: the indices before that are marked taken, and the side
+    (-10^100, 10^100) admits every value the scan can reach, so the pick is
+    whatever the scan's integer steps computed there."""
+    pairing = Pairing()
+    pairing._next[0] = start
+    pairing._ahead[0].update(range(start, start + steps))
+    picked = pairing._take_least_unused(0, Fraction(-(10**100)), Fraction(10**100))
+    assert pairing._ahead[0] == set(range(start, start + steps + 1))
+    return picked
 
 
 class TestBoxes:
@@ -124,8 +139,10 @@ class TestPairingConstruction:
         pairing.extend(600)
         for i in range(200):
             value = enumerate_rational(i)
-            assert value in pairing.level_of_x
-            assert value in pairing.level_of_y
+            # a lookup capped at level 599 refuses what the 600 pairs lack
+            pairing.x_level(value, max_level=599)
+            pairing.y_level(value, max_level=599)
+        assert len(pairing) == 600
 
     def test_box_witnesses_are_strictly_inside(self):
         pairing = Pairing()
@@ -167,8 +184,10 @@ class TestPairingConstruction:
         one.extend(500)
         two.extend(500)
         assert one.pairs == two.pairs
-        assert one.level_of_x == two.level_of_x
-        assert one.level_of_y == two.level_of_y
+        for pairing in (one, two):
+            for n, (x, y) in enumerate(pairing.pairs):
+                assert pairing.x_level(x) == n
+                assert pairing.y_level(y) == n
 
     @given(st.integers(min_value=0, max_value=120), st.integers(min_value=0, max_value=120))
     @settings(max_examples=25, deadline=None)
@@ -179,6 +198,99 @@ class TestPairingConstruction:
         split.extend(second)
         whole.extend(first + second)
         assert split.pairs == whole.pairs
+
+
+class TestNewmanScan:
+    """A bounded scan takes its start's terms from `enumerate_terms` and
+    steps to each next index in integers, by Newman's successor."""
+
+    def test_every_step_to_index_50000(self):
+        assert scan_to(0, 0).as_integer_ratio() == enumerate_terms(0)
+        for index in range(50_000):
+            assert scan_to(index, 1).as_integer_ratio() == enumerate_terms(index + 1), index
+
+    @given(
+        st.one_of(
+            st.integers(min_value=0, max_value=2**70),
+            st.just(index_of(Fraction(63, 64))),
+            st.just(index_of(Fraction(63, 64)) + 1),
+        ),
+        st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_steps_from_odd_and_even_starts(self, start, steps):
+        picked = scan_to(start, steps)
+        assert picked.as_integer_ratio() == enumerate_terms(start + steps)
+
+
+class TestCoordinateIndex:
+    """`pairs` is the only record; a lookup that misses indexes on its own
+    axis the pairs placed since the last miss."""
+
+    def test_extend_writes_no_index(self):
+        pairing = Pairing()
+        pairing.extend(300)
+        assert pairing._level_of == ({}, {})
+
+    def test_the_pairs_command_writes_no_index(self, capsys, monkeypatch):
+        made = []
+
+        class Recorded(Pairing):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(cli, "Pairing", Recorded)
+        assert cli.main(["pairs", "--count", "300", "--json"]) == 0
+        capsys.readouterr()
+        assert [len(pairing) for pairing in made] == [300]
+        assert made[0]._level_of == ({}, {})
+
+    def test_one_miss_fills_its_own_axis(self):
+        pairing = Pairing()
+        pairing.extend(300)
+        assert pairing.x_level(pairing.pairs[5][0]) == 5
+        assert len(pairing._level_of[0]) == 300
+        assert pairing._level_of[1] == {}
+        # a hit fills nothing more
+        assert pairing.x_level(pairing.pairs[299][0]) == 299
+        assert len(pairing._level_of[0]) == 300
+
+    def test_lookups_between_builds_agree_with_the_pairs(self):
+        woven = WovenFunction()
+        pairing = woven.pairing
+        found = []
+        for depth in (3, 40, 41, 200):
+            woven.build_to(depth)
+            for n in (0, depth // 2, depth):
+                found.append((0, pairing.pairs[n][0], pairing.x_level(pairing.pairs[n][0])))
+                found.append((1, pairing.pairs[n][1], pairing.y_level(pairing.pairs[n][1])))
+            # coordinates not placed yet: the lookup extends the pairs
+            for i in (3 * depth, 3 * depth + 1):
+                value = enumerate_rational(i)
+                found.append((0, value, pairing.x_level(value)))
+                found.append((1, value, pairing.y_level(value)))
+        reference = [{}, {}]
+        for n, pair in enumerate(pairing.pairs):
+            for axis in (0, 1):
+                reference[axis][pair[axis]] = n
+        assert [level for _, _, level in found] == [
+            reference[axis][value] for axis, value, _ in found
+        ]
+        for axis in (0, 1):
+            levels = pairing._level_of[axis]
+            assert levels == {
+                pair[axis]: n for n, pair in enumerate(pairing.pairs[: len(levels)])
+            }
+
+    @pytest.mark.parametrize("axis", ["x_level", "y_level"])
+    def test_unindexed_coordinate_above_the_cap_is_refused(self, axis):
+        pairing = Pairing()
+        pairing.extend(300)
+        value = pairing.pairs[250][axis == "y_level"]
+        with pytest.raises(Refusal, match=r"-coordinate is 250, above the cap 100$"):
+            getattr(pairing, axis)(value, max_level=100)
+        assert len(pairing) == 300
 
 
 class TestLevelLookup:

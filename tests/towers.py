@@ -12,12 +12,10 @@ from crossweave.weave import WovenFunction
 
 
 def tower_on(xs, ys):
-    """A tower whose pairing is filled in place with the pairs (xs[n], ys[n])."""
+    """A tower whose pairing is filled in place with the pairs (xs[n], ys[n]);
+    its coordinate index is filled on lookup, as the canonical pairing's is."""
     pairing = Pairing()
-    for n, (x, y) in enumerate(zip(xs, ys)):
-        pairing.pairs.append((x, y))
-        pairing.level_of_x[x] = n
-        pairing.level_of_y[y] = n
+    pairing.pairs.extend(zip(xs, ys))
     return WovenFunction(pairing)
 
 
