@@ -13,12 +13,12 @@ function of its length.  Task 2 walks a canonical enumeration of open boxes
 with rational corners (a countable base of the plane's topology), which is
 what makes the sequence dense.
 
-Every scan walks enumeration indices in integers: it steps from the terms
-of e(i) to those of e(i + 1) by Newman's successor, tests them against a box
-side by cross-multiplying, and tests "unused" against a small set of indices
-(see `Pairing`).  A box side is tested by the ranks of its two corners.  A
-`Fraction` is built only for the value a scan picks and for the corners of
-the boxes it yields, and a coordinate's level only when a lookup asks.
+Every pick is one scan of enumeration indices in integers: from the stored
+terms of its start it steps from e(i) to e(i + 1) by Newman's successor,
+tests each against a side by cross-multiplying, and tests "unused" against a
+small set of indices (see `Pairing`).  A box side is tested by the ranks of
+its two corners.  A `Fraction` is built only for the value a scan picks and
+for the corners of the boxes it yields, and a level only when a lookup asks.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator
 
-from .rationals import Rational, enumerate_rational, enumerate_terms, index_of
+from .rationals import Rational, enumerate_rational, index_of
 
 Point = tuple[Rational, Rational]
 
@@ -124,7 +124,8 @@ class Pairing:
     An index at or above the start is used only if a bounded pick (task 2)
     took it, so each axis keeps just those indices in a small set, and an
     index leaves the set once the scan start moves past it.  "Unused" is
-    then "at or above the start and not in the set".
+    then "at or above the start and not in the set".  The start m is kept
+    as (m, numerator, denominator) of e(m), so no scan rebuilds its value.
 
     `pairs` is the only record of the sequence.  A lookup that misses fills
     its axis's map from coordinate to level from the pairs placed since the
@@ -137,7 +138,7 @@ class Pairing:
         # per axis, 0 for x and 1 for y: its level index, its scan start,
         # and the indices at or above the start that bounded picks took
         self._level_of: tuple[dict[Rational, int], dict[Rational, int]] = ({}, {})
-        self._next = [0, 0]
+        self._next = [(0, 0, 1), (0, 0, 1)]
         self._ahead: tuple[set[int], set[int]] = (set(), set())
 
     def __len__(self) -> int:
@@ -150,23 +151,18 @@ class Pairing:
     ) -> Rational:
         """The least-index rational unused on `axis`, strictly inside (lo, hi) if given.
 
-        Only an unbounded pick is consumed outright and moves the scan start;
-        a bounded pick is recorded in the axis's set of indices ahead of it.
-        A bounded scan steps from one enumerated value to the next in terms:
-        t(m) is followed by -t(m), and -t(m) by Newman's successor
-        t(m + 1) = 1 / (2 floor(t(m)) - t(m) + 1), which from 0 gives 1.
+        One scan, from the scan start's terms, steps in integers: t(m) is
+        followed by -t(m), and -t(m) by Newman's successor
+        t(m + 1) = 1 / (2 floor(t(m)) - t(m) + 1), which from 0 gives 1.  An
+        unbounded pick scans the open side (-1/0, 1/0), which the test admits
+        for every value; it drops the indices it skipped from the set ahead
+        and moves the start one step past its pick.  A bounded pick joins the set.
         """
         ahead = self._ahead[axis]
-        index = self._next[axis]
-        if lo is None:
-            while index in ahead:
-                ahead.remove(index)
-                index += 1
-            self._next[axis] = index + 1
-            return enumerate_rational(index)
-        lo_num, lo_den = lo.numerator, lo.denominator
-        hi_num, hi_den = hi.numerator, hi.denominator
-        num, den = enumerate_terms(index)
+        start, num, den = self._next[axis]
+        lo_num, lo_den = (-1, 0) if lo is None else lo.as_integer_ratio()
+        hi_num, hi_den = (1, 0) if hi is None else hi.as_integer_ratio()
+        index = start
         while index in ahead or not (
             lo_num * den < num * lo_den and num * hi_den < hi_num * den
         ):
@@ -175,8 +171,14 @@ class Pairing:
                 num = -num
             else:
                 num, den = den, (2 * (-num // den) + 1) * den + num
-        ahead.add(index)
-        return Rational(num, den)
+        picked = Rational(num, den)
+        if lo is None:
+            ahead.difference_update(range(start, index))
+            num, den = (-num, den) if num > 0 else (den, (2 * (-num // den) + 1) * den + num)
+            self._next[axis] = (index + 1, num, den)
+        else:
+            ahead.add(index)
+        return picked
 
     def extend(self, steps: int) -> None:
         """Append `steps` pairs by the round-robin schedule."""

@@ -11,6 +11,7 @@ arithmetic.  This module adds the pieces the standard library lacks:
 
 The enumeration is the fixed total order in which the rest of the package
 consumes rationals, so both directions must be exact and deterministic.
+`pairing`'s picks step through it in integers, by Newman's successor.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ def _tree_value(index: int) -> Fraction:
     The vertex a/b has children a/(a+b) and (a+b)/b, so the binary digits of
     `index` below the leading 1 spell the path from the root 1/1.  Every
     positive rational appears exactly once, already in lowest terms.
+
+    The `lru_cache` stays only because the benchmark harness reads its
+    `cache_info()` (ROADMAP item 1b); after 40 000 pairs it holds 17 values.
     """
     numerator, denominator = 1, 1
     for bit in bin(index)[3:]:
@@ -129,25 +133,6 @@ def enumerate_rational(index: int) -> Fraction:
     if odd:
         return _tree_value(half + 1)
     return -_tree_value(half)
-
-
-def enumerate_terms(index: int) -> tuple[int, int]:
-    """`enumerate_rational(index)` as (numerator, denominator), building no Fraction.
-
-    The terms come from the same tree cache, in lowest terms with a positive
-    denominator, so two enumerated values compare by cross-multiplying.
-
-    >>> [enumerate_terms(i) for i in range(6)]
-    [(0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (2, 1)]
-    """
-    if index < 0:
-        raise ValueError("enumeration index must be nonnegative")
-    if index == 0:
-        return 0, 1
-    if index & 1:
-        return _tree_value((index >> 1) + 1).as_integer_ratio()
-    numerator, denominator = _tree_value(index >> 1).as_integer_ratio()
-    return -numerator, denominator
 
 
 def index_of(value: Fraction) -> int:

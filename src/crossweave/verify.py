@@ -349,8 +349,7 @@ def check_image_density(
     """Sweep targets k/pitch over [0, 1]; the first column must hit each exactly.
 
     Every target is evaluated at `image_density_search`'s point through the
-    public `woven.value`.  `eps` is a pass tolerance, 0 by default and in
-    every suite; it stays only because the benchmark harness passes it.
+    public `woven.value`.  `eps` is ignored; the benchmark passes it.
     """
     failures = []
     examples = []
@@ -363,13 +362,11 @@ def check_image_density(
         y = image_density_search(woven, target)
         value = woven.value(x0, y)
         entry = {"target": target, "y": y, "value": value}
-        if abs(value - target) > eps:
+        if value != target:
             failures.append(entry)
         elif k in (0, pitch // 2, pitch):
             examples.append(entry)
-    return Report(
-        "image_density", {"pitch": pitch, "eps": eps}, len(steps), failures, examples
-    )
+    return Report("image_density", {"pitch": pitch}, len(steps), failures, examples)
 
 
 def nonfeeble_witness(woven: WovenFunction, boxes: int = 50) -> Report:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import crossweave.cli as cli
 from crossweave import pairing as pairing_module
 from crossweave.pairing import Box, Pairing, Refusal, enumerate_box
-from crossweave.rationals import enumerate_rational, enumerate_terms, index_of
+from crossweave import rationals
+from crossweave.rationals import enumerate_rational, index_of
 from crossweave.weave import WovenFunction
 
 EXPECTED_PREFIX = [
@@ -48,13 +49,18 @@ def reference_boxes(count, max_sum=22):
     return boxes[:count]
 
 
+def terms(index):
+    """The terms of e(index), by the tree walk of `enumerate_rational`."""
+    return enumerate_rational(index).as_integer_ratio()
+
+
 def scan_to(start, steps):
     """The value a bounded scan from index `start` picks at index
     start + steps: the indices before that are marked taken, and the side
     (-10^100, 10^100) admits every value the scan can reach, so the pick is
     whatever the scan's integer steps computed there."""
     pairing = Pairing()
-    pairing._next[0] = start
+    pairing._next[0] = (start, *terms(start))
     pairing._ahead[0].update(range(start, start + steps))
     picked = pairing._take_least_unused(0, Fraction(-(10**100)), Fraction(10**100))
     assert pairing._ahead[0] == set(range(start, start + steps + 1))
@@ -200,27 +206,58 @@ class TestPairingConstruction:
         assert split.pairs == whole.pairs
 
 
+STARTS = st.one_of(
+    st.integers(min_value=0, max_value=2**70),
+    st.just(index_of(Fraction(63, 64))),
+    st.just(index_of(Fraction(63, 64)) + 1),
+)
+
+
 class TestNewmanScan:
-    """A bounded scan takes its start's terms from `enumerate_terms` and
-    steps to each next index in integers, by Newman's successor."""
+    """Both picks scan from the start's stored terms and step to each next
+    index in integers, by Newman's successor; they never walk the tree."""
 
     def test_every_step_to_index_50000(self):
-        assert scan_to(0, 0).as_integer_ratio() == enumerate_terms(0)
+        assert scan_to(0, 0).as_integer_ratio() == terms(0)
         for index in range(50_000):
-            assert scan_to(index, 1).as_integer_ratio() == enumerate_terms(index + 1), index
+            assert scan_to(index, 1).as_integer_ratio() == terms(index + 1), index
 
-    @given(
-        st.one_of(
-            st.integers(min_value=0, max_value=2**70),
-            st.just(index_of(Fraction(63, 64))),
-            st.just(index_of(Fraction(63, 64)) + 1),
-        ),
-        st.integers(min_value=0, max_value=40),
-    )
+    @given(STARTS, st.integers(min_value=0, max_value=40))
     @settings(max_examples=60, deadline=None)
     def test_steps_from_odd_and_even_starts(self, start, steps):
         picked = scan_to(start, steps)
-        assert picked.as_integer_ratio() == enumerate_terms(start + steps)
+        assert picked.as_integer_ratio() == terms(start + steps)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 3000])
+    def test_each_start_keeps_its_own_terms(self, count):
+        pairing = Pairing()
+        pairing.extend(count)
+        for index, num, den in pairing._next:
+            assert (num, den) == terms(index)
+
+    @given(STARTS, st.integers(min_value=0, max_value=40))
+    @settings(max_examples=60, deadline=None)
+    def test_unbounded_pick_consumes_what_it_skipped(self, start, skipped):
+        """From start s with s .. s+k-1 taken ahead, the open side picks
+        e(s+k), drops those indices and moves the start to s+k+1."""
+        pairing = Pairing()
+        pairing._next[0] = (start, *terms(start))
+        pairing._ahead[0].update(range(start, start + skipped))
+        picked = pairing._take_least_unused(0)
+        assert picked.as_integer_ratio() == terms(start + skipped)
+        assert pairing._ahead[0] == set()
+        after = start + skipped + 1
+        assert pairing._next[0] == (after, *terms(after))
+
+    def test_the_pairing_fills_no_tree_cache(self):
+        """Only the box stream reads the tree; once it has grown, 3000 pairs
+        add no miss to `_tree_value`'s cache."""
+        count = 3000
+        rationals._tree_value.cache_clear()
+        enumerate_box(count // 3)
+        misses = rationals._tree_value.cache_info().misses
+        Pairing().extend(count)
+        assert rationals._tree_value.cache_info().misses == misses
 
 
 class TestCoordinateIndex:

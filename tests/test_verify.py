@@ -367,8 +367,24 @@ class TestImageDensity:
     def test_sweep_passes(self, woven):
         report = check_image_density(woven, pitch=10)
         assert report.passed and report.checked == 11
-        assert report.bounds["eps"] == 0
+        assert report.bounds == {"pitch": 10}
         assert report.witnesses  # exemplar targets recorded
+
+    def test_a_tolerance_forgives_no_miss(self, woven, monkeypatch):
+        """One target's value off by a quarter of the pitch fails the sweep,
+        even with `eps` set to half the pitch: only exact hits pass."""
+        pitch, target = 10, Fraction(3, 10)
+        x0, y = woven.pairing.pairs[0][0], image_density_search(woven, target)
+        exact = WovenFunction.value
+
+        def nudged(self, x, yy):
+            value = exact(self, x, yy)
+            return value + Fraction(1, 4 * pitch) if (x, yy) == (x0, y) else value
+
+        monkeypatch.setattr(WovenFunction, "value", nudged)
+        report = check_image_density(woven, pitch=pitch, eps=Fraction(1, 2 * pitch))
+        assert not report.passed
+        assert report.failures == [{"target": target, "y": y, "value": Fraction(13, 40)}]
 
     def test_memory_does_not_grow_with_the_pitch(self, woven):
         """The targets are made one at a time: a list of the 20 001 targets
@@ -641,8 +657,7 @@ class TestReportsAndDriver:
     def test_run_suite_density_defaults(self):
         reports = run_suite("density")
         assert reports[0].passed
-        assert reports[0].bounds["pitch"] == 20
-        assert reports[0].bounds["eps"] == 0
+        assert reports[0].bounds == {"pitch": 20}
 
     def test_density_suite_fails_a_steeper_hat(self, monkeypatch):
         """A level-0 hat of slope 1001/1000 misses every target but 0 and 1."""
