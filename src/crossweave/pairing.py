@@ -13,12 +13,11 @@ function of its length.  Task 2 walks a canonical enumeration of open boxes
 with rational corners (a countable base of the plane's topology), which is
 what makes the sequence dense.
 
-Every pick is one scan of enumeration indices in integers: from the stored
-terms of its start it steps from e(i) to e(i + 1) by Newman's successor,
-tests each against a side by cross-multiplying, and tests "unused" against a
-small set of indices (see `Pairing`).  A box side is tested by the ranks of
-its two corners.  A `Fraction` is built only for the value a scan picks and
-for the corners of the boxes it yields, and a level only when a lookup asks.
+Every pick is one scan of enumeration indices in integers: it steps from
+e(i) to e(i + 1) by Newman's successor, tests each against a side by
+cross-multiplying, and tests "unused" against a small set of indices (see
+`Pairing`).  Box sides are decided by the ranks of their corners and kept in
+terms, so a pick builds one `Fraction`, and a level map fills only on lookup.
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ from typing import Iterator
 from .rationals import Rational, enumerate_rational, index_of
 
 Point = tuple[Rational, Rational]
+Side = tuple[tuple[int, int], tuple[int, int]]  # an open interval's ends, in terms
+_OPEN: Side = ((-1, 0), (1, 0))  # the side an unbounded pick scans: all of Q
 
 
 class Refusal(ValueError):
@@ -57,7 +58,7 @@ class Box:
         return self.x_lo < x < self.x_hi and self.y_lo < y < self.y_hi
 
 
-def _open_boxes() -> Iterator[Box]:
+def _open_boxes() -> Iterator[tuple[Side, Side]]:
     """The boxes (e(i), e(j)) x (e(k), e(l)) with both sides nonempty, in the
     order of their 4-tuples: by increasing i + j + k + l, ties lexicographic.
 
@@ -65,13 +66,16 @@ def _open_boxes() -> Iterator[Box]:
     e(0) .. e(total), and a side (e(i), e(j)) is nonempty exactly when the
     rank of e(i) among those values is below that of e(j).  The x side is
     tested once per (i, j); when it is empty, every (k, l) that would
-    complete it is skipped untested.
+    complete it is skipped untested.  Each box is yielded as its two sides
+    in terms, ((lo_n, lo_d), (hi_n, hi_d)), one tuple per side and sum.
     """
     values: list[Rational] = []
     while True:
         total = len(values)
         values.append(enumerate_rational(total))
         rank = list(map(sorted(values).index, values))
+        terms = [value.as_integer_ratio() for value in values]
+        sides = [[(lo, hi) for hi in terms] for lo in terms]
         for i in range(total + 1):
             for j in range(total + 1 - i):
                 if rank[i] >= rank[j]:
@@ -79,13 +83,21 @@ def _open_boxes() -> Iterator[Box]:
                 for k in range(total + 1 - i - j):
                     l = total - i - j - k
                     if rank[k] < rank[l]:
-                        yield Box(values[i], values[j], values[k], values[l])
+                        yield sides[i][j], sides[k][l]
 
 
 # the box stream is shared by the whole process; `_box_lock` serialises its growth
-_box_cache: list[Box] = []
+_box_cache: list[tuple[Side, Side]] = []
 _box_source = _open_boxes()
 _box_lock = threading.Lock()
+
+
+def _box_sides(ordinal: int) -> tuple[Side, Side]:
+    """The ordinal-th box of the stream, as its two sides in terms."""
+    with _box_lock:
+        while len(_box_cache) <= ordinal:
+            _box_cache.append(next(_box_source))
+    return _box_cache[ordinal]
 
 
 def enumerate_box(ordinal: int) -> Box:
@@ -93,18 +105,15 @@ def enumerate_box(ordinal: int) -> Box:
 
     A 4-tuple (i, j, k, l) of enumeration indices denotes the candidate box
     (e(i), e(j)) x (e(k), e(l)); tuples whose intervals come out empty are
-    skipped, and the survivors are numbered in order.  Safe to call from
-    several threads: the cache grows under a lock, in enumeration order.
+    skipped, and the survivors are numbered in order.  Only here is one
+    built as a `Box`; threads may call it, as the cache grows under a lock.
 
     >>> enumerate_box(0)
     Box(x_lo=Fraction(0, 1), x_hi=Fraction(1, 1), y_lo=Fraction(0, 1), y_hi=Fraction(1, 1))
     """
     if ordinal < 0:
         raise ValueError("box ordinal must be nonnegative")
-    with _box_lock:
-        while len(_box_cache) <= ordinal:
-            _box_cache.append(next(_box_source))
-    return _box_cache[ordinal]
+    return Box(*(Rational(*end) for side in _box_sides(ordinal) for end in side))
 
 
 class Pairing:
@@ -119,25 +128,21 @@ class Pairing:
       rationals strictly inside its two sides; that pair is box k's density
       witness.
 
-    Because tasks 0 and 1 consume the least unused index outright, every
-    index below an axis's scan start is already used; scans may start there.
-    An index at or above the start is used only if a bounded pick (task 2)
-    took it, so each axis keeps just those indices in a small set, and an
-    index leaves the set once the scan start moves past it.  "Unused" is
-    then "at or above the start and not in the set".  The start m is kept
-    as (m, numerator, denominator) of e(m), so no scan rebuilds its value.
+    Every index below an axis's scan start is used, because tasks 0 and 1
+    take the least unused index outright; at or above it, each axis keeps
+    the indices that bounded picks (task 2) took, in a small set.  The start
+    m is kept with e(m)'s terms, so no scan rebuilds its value.
 
     `pairs` is the only record of the sequence.  A lookup that misses fills
-    its axis's map from coordinate to level from the pairs placed since the
-    last fill; coordinates never repeat on an axis, so the map's length
-    marks how far it reaches.
+    its axis's map from coordinate terms to level from the pairs placed
+    since the last fill; coordinates never repeat on an axis, so the map's
+    length marks how far it reaches.
     """
 
     def __init__(self) -> None:
         self.pairs: list[Point] = []
-        # per axis, 0 for x and 1 for y: its level index, its scan start,
-        # and the indices at or above the start that bounded picks took
-        self._level_of: tuple[dict[Rational, int], dict[Rational, int]] = ({}, {})
+        # per axis (0 for x, 1 for y): level index, scan start, indices ahead
+        self._level_of: tuple[dict[tuple[int, int], int], ...] = ({}, {})
         self._next = [(0, 0, 1), (0, 0, 1)]
         self._ahead: tuple[set[int], set[int]] = (set(), set())
 
@@ -146,23 +151,19 @@ class Pairing:
 
     # -- construction ---------------------------------------------------
 
-    def _take_least_unused(
-        self, axis: int, lo: Rational | None = None, hi: Rational | None = None
-    ) -> Rational:
-        """The least-index rational unused on `axis`, strictly inside (lo, hi) if given.
+    def _take_least_unused(self, axis: int, side: Side) -> Rational:
+        """The least-index rational unused on `axis` strictly inside `side`.
 
-        One scan, from the scan start's terms, steps in integers: t(m) is
-        followed by -t(m), and -t(m) by Newman's successor
-        t(m + 1) = 1 / (2 floor(t(m)) - t(m) + 1), which from 0 gives 1.  An
-        unbounded pick scans the open side (-1/0, 1/0), which the test admits
-        for every value; it drops the indices it skipped from the set ahead
-        and moves the start one step past its pick.  A bounded pick joins the set.
+        One scan steps in integers: t(m) is followed by -t(m), and -t(m) by
+        Newman's successor t(m + 1) = 1 / (2 floor(t(m)) - t(m) + 1), which
+        from 0 gives 1.  An unbounded pick scans `_OPEN`, which the test
+        admits for every value, drops the indices it skipped from the set
+        ahead and moves the start one step past its pick.  A bounded pick
+        joins the set.
         """
-        ahead = self._ahead[axis]
-        start, num, den = self._next[axis]
-        lo_num, lo_den = (-1, 0) if lo is None else lo.as_integer_ratio()
-        hi_num, hi_den = (1, 0) if hi is None else hi.as_integer_ratio()
-        index = start
+        ahead, start = self._ahead[axis], self._next[axis]
+        (lo_num, lo_den), (hi_num, hi_den) = side
+        index, num, den = start
         while index in ahead or not (
             lo_num * den < num * lo_den and num * hi_den < hi_num * den
         ):
@@ -172,8 +173,8 @@ class Pairing:
             else:
                 num, den = den, (2 * (-num // den) + 1) * den + num
         picked = Rational(num, den)
-        if lo is None:
-            ahead.difference_update(range(start, index))
+        if side is _OPEN:
+            ahead.difference_update(range(start[0], index))
             num, den = (-num, den) if num > 0 else (den, (2 * (-num // den) + 1) * den + num)
             self._next[axis] = (index + 1, num, den)
         else:
@@ -182,16 +183,11 @@ class Pairing:
 
     def extend(self, steps: int) -> None:
         """Append `steps` pairs by the round-robin schedule."""
+        take = self._take_least_unused
         for _ in range(steps):
             step = len(self.pairs)
-            if step % 3 == 2:
-                box = enumerate_box(step // 3)
-                x = self._take_least_unused(0, box.x_lo, box.x_hi)
-                y = self._take_least_unused(1, box.y_lo, box.y_hi)
-            else:
-                x = self._take_least_unused(0)
-                y = self._take_least_unused(1)
-            self.pairs.append((x, y))
+            x_side, y_side = _box_sides(step // 3) if step % 3 == 2 else (_OPEN, _OPEN)
+            self.pairs.append((take(0, x_side), take(1, y_side)))
 
     def ensure_length(self, count: int) -> None:
         if len(self.pairs) < count:
@@ -216,10 +212,10 @@ class Pairing:
 
     def _level(self, axis: int, value: Rational, max_level: int | None) -> int:
         levels, pairs, bound = self._level_of[axis], self.pairs, None
-        while (level := levels.get(value)) is None:
+        while (level := levels.get(value.as_integer_ratio())) is None:
             if len(levels) < len(pairs):  # index the pairs placed since the last miss
                 for n in range(len(levels), len(pairs)):
-                    levels[pairs[n][axis]] = n
+                    levels[pairs[n][axis].as_integer_ratio()] = n
                 continue
             # a cap alone bounds the search: the index i has as many bits as the
             # sum of the value's continued-fraction quotients, so skip computing it

@@ -53,7 +53,7 @@ def format_rational(value: Fraction) -> str:
     >>> format_rational(Fraction(-1, 2))
     '-1/2'
     """
-    return f"{value.numerator}/{value.denominator}"
+    return "%d/%d" % value.as_integer_ratio()
 
 
 def decimal_approx(value: Fraction, digits: int = 20) -> str:

@@ -49,6 +49,15 @@ def reference_boxes(count, max_sum=22):
     return boxes[:count]
 
 
+def sides_in_terms(box):
+    """A `Box` as the box stream stores it: its x and y sides, each as the
+    terms of its two ends."""
+    return (
+        (box.x_lo.as_integer_ratio(), box.x_hi.as_integer_ratio()),
+        (box.y_lo.as_integer_ratio(), box.y_hi.as_integer_ratio()),
+    )
+
+
 def terms(index):
     """The terms of e(index), by the tree walk of `enumerate_rational`."""
     return enumerate_rational(index).as_integer_ratio()
@@ -62,7 +71,7 @@ def scan_to(start, steps):
     pairing = Pairing()
     pairing._next[0] = (start, *terms(start))
     pairing._ahead[0].update(range(start, start + steps))
-    picked = pairing._take_least_unused(0, Fraction(-(10**100)), Fraction(10**100))
+    picked = pairing._take_least_unused(0, ((-(10**100), 1), (10**100, 1)))
     assert pairing._ahead[0] == set(range(start, start + steps + 1))
     return picked
 
@@ -116,7 +125,7 @@ class TestBoxes:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert pairing_module._box_cache == reference_boxes(3000)
+        assert pairing_module._box_cache == list(map(sides_in_terms, reference_boxes(3000)))
 
     def test_strictly_inside(self):
         box = enumerate_box(0)
@@ -243,11 +252,28 @@ class TestNewmanScan:
         pairing = Pairing()
         pairing._next[0] = (start, *terms(start))
         pairing._ahead[0].update(range(start, start + skipped))
-        picked = pairing._take_least_unused(0)
+        picked = pairing._take_least_unused(0, pairing_module._OPEN)
         assert picked.as_integer_ratio() == terms(start + skipped)
         assert pairing._ahead[0] == set()
         after = start + skipped + 1
         assert pairing._next[0] == (after, *terms(after))
+
+    def test_the_picks_build_no_box(self, monkeypatch):
+        """From a fresh box stream, 3000 pairs come out the same with `Box`
+        unusable: the stream yields sides in terms and the picks read those."""
+        expected = Pairing()
+        expected.extend(3000)
+
+        def no_box(*corners):
+            raise AssertionError(f"built a Box from {corners}")
+
+        monkeypatch.setattr(pairing_module, "_box_cache", [])
+        monkeypatch.setattr(pairing_module, "_box_source", pairing_module._open_boxes())
+        monkeypatch.setattr(pairing_module, "Box", no_box)
+        pairing = Pairing()
+        pairing.extend(3000)
+        assert pairing.pairs == expected.pairs
+        assert len(pairing_module._box_cache) == 1000
 
     def test_the_pairing_fills_no_tree_cache(self):
         """Only the box stream reads the tree; once it has grown, 3000 pairs
@@ -317,7 +343,8 @@ class TestCoordinateIndex:
         for axis in (0, 1):
             levels = pairing._level_of[axis]
             assert levels == {
-                pair[axis]: n for n, pair in enumerate(pairing.pairs[: len(levels)])
+                pair[axis].as_integer_ratio(): n
+                for n, pair in enumerate(pairing.pairs[: len(levels)])
             }
 
     @pytest.mark.parametrize("axis", ["x_level", "y_level"])
@@ -371,3 +398,34 @@ class TestLevelLookup:
     def test_found_below_cap_is_fine(self):
         pairing = Pairing()
         assert pairing.x_level(Fraction(1, 2), max_level=100) == 2
+
+    def test_an_int_coordinate_finds_the_level_of_its_fraction(self):
+        """The indexes are keyed on terms, and an `int` has the terms of the
+        equal `Fraction`."""
+        # the index of n is about 2^(n + 1), so the integers stay small
+        woven, pairing = WovenFunction(), Pairing()
+        for x in range(-4, 5):
+            for y in range(-4, 5):
+                exact = woven.value(Fraction(x), Fraction(y))
+                assert woven.value(x, y) == exact, (x, y)
+        for value in range(-6, 7):
+            assert pairing.x_level(value) == pairing.x_level(Fraction(value))
+            assert pairing.y_level(value) == pairing.y_level(Fraction(value))
+
+    @pytest.mark.parametrize("axis", ["x_level", "y_level"])
+    def test_a_coordinate_that_cannot_be_hashed_is_found(self, axis):
+        """A lookup reads the coordinate's terms, never its hash: a placed
+        value, one placed by the lookup's own extension, and a refusal."""
+
+        class Unhashable(Fraction):
+            def __hash__(self):
+                raise TypeError("unhashable coordinate")
+
+        pairing, reference = Pairing(), Pairing()
+        pairing.extend(300)
+        lookup = getattr(pairing, axis)
+        for value in (Fraction(1, 2), Fraction(-5, 3), enumerate_rational(400)):
+            assert lookup(Unhashable(value)) == getattr(reference, axis)(value)
+        assert len(pairing) > 300
+        with pytest.raises(Refusal):
+            lookup(Unhashable(10**10), max_level=8)
