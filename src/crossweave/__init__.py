@@ -5,11 +5,13 @@ The pieces, bottom up: `rationals` fixes exact arithmetic and a bijective
 enumeration of Q; `pairing` builds the dense pair sequence with singleton
 sections; `cross_extension` builds one continuous interpolant per level on a
 cross of lines; `weave` threads them into one function on the whole rational
-plane; `verify` certifies the claimed properties at desk scale; `cli` wraps
-it all for the command line.
+plane; `oracle` rebuilds it from the pair coordinates alone, as an
+independent reference; `verify` certifies the claimed properties at desk
+scale; `cli` wraps it all for the command line.
 """
 
 from .cross_extension import CrossFunction
+from .oracle import MAX_ORACLE_LEVEL, oracle_eval
 from .pairing import Box, Pairing, Point, Refusal, enumerate_box
 from .rationals import (
     Rational,
@@ -20,7 +22,6 @@ from .rationals import (
     parse_rational,
 )
 from .verify import (
-    MAX_ORACLE_LEVEL,
     Report,
     check_image_density,
     check_oracle_equivalence,
@@ -30,7 +31,6 @@ from .verify import (
     check_welldefined,
     image_density_search,
     nonfeeble_witness,
-    oracle_eval,
     run_suite,
 )
 from .weave import WovenFunction

@@ -43,7 +43,7 @@ nonzero value is built as one `Fraction`.
 The radius is the caller's: a tower keeps it in `weave` as a running
 minimum over the coordinate gaps, and this module only checks that it lies
 in (0, 1].  The linear-scan reference that these shortcuts are tested
-against lives in `verify`, which shares no code with this module.
+against lives in `oracle`, which shares no code with this module.
 """
 
 from __future__ import annotations

@@ -136,7 +136,7 @@ class Pairing:
     `pairs` is the only record of the sequence.  A lookup that misses fills
     its axis's map from coordinate terms to level from the pairs placed
     since the last fill; coordinates never repeat on an axis, so the map's
-    length marks how far it reaches.
+    length marks how far it reaches, and a lookup that finds a repeat fails.
     """
 
     def __init__(self) -> None:
@@ -216,6 +216,8 @@ class Pairing:
             if len(levels) < len(pairs):  # index the pairs placed since the last miss
                 for n in range(len(levels), len(pairs)):
                     levels[pairs[n][axis].as_integer_ratio()] = n
+                if len(levels) < len(pairs):  # a repeat collapsed in the index
+                    raise ValueError(f"{'xy'[axis]}-coordinates must be pairwise distinct")
                 continue
             # a cap alone bounds the search: the index i has as many bits as the
             # sum of the value's continued-fraction quotients, so skip computing it

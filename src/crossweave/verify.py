@@ -8,31 +8,9 @@ nothing fails.  A failing report carries concrete counter-witnesses
 
 The checks deliberately re-derive what they test through independent routes:
 
-* `oracle_eval` recomputes the function from the pair coordinates alone,
-  so it shares no evaluation code or state with the fast path it checks.
-  This module holds the package's only reference for one cross:
-  `brute_force_radius`, the tent radius from every pair of anchors, and
-  `linear_scan_value`, hat times tent from one scan of the anchors.  The
-  oracle derives the levels bottom-up, each level's anchors, values and
-  radius once per list of derived levels, scoped to one check, and
-  evaluates points by the same scan.  It refuses above `MAX_ORACLE_LEVEL`.
-  `check_oracle_equivalence` derives every level up to its depth, tests
-  the tower at eleven points along each nonzero tent the oracle derived,
-  and compares every derived level, values and radius, with the tower.
-
-  Both work on an integer lattice, and a derived level is kept only in
-  that form (`Level`): its anchors as the integers a L, with L the lcm of
-  their denominators, its values as integers over their common
-  denominator, and its radius as a numerator and a denominator.  The
-  separation is the minimum over every pair of those integers, and a scan
-  scales the point and the anchors by M, the lcm of L and the point's
-  denominators, so the distances, the hat, the test d < r and the tent
-  sum are integers, and each value is one `Fraction` at the end.  Integer
-  equality after scaling by a common factor is exact equality, and the
-  lattice shares no code with the tower's own integer lines: this module
-  imports nothing from `cross_extension`.  The two public functions wrap
-  the scan for `Fraction` anchors; no `Fraction` distance (the former
-  `_linf`) remains.
+* `check_oracle_equivalence` compares the tower with `oracle_eval`, the
+  reference in `oracle`, which rebuilds the function from the pair
+  coordinates alone and shares no code with the tower.
 * `check_welldefined` compares the defining column route against the row
   route that the construction must make equivalent, and is the only check
   of that agreement.
@@ -53,14 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
 
-from .pairing import Pairing, Point, Refusal, enumerate_box
+from .oracle import MAX_ORACLE_LEVEL, Level, oracle_eval, scan_level
+from .pairing import Refusal, enumerate_box
 from .rationals import Rational, format_rational
 from .weave import WovenFunction
-
-MAX_ORACLE_LEVEL = 256
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -122,141 +97,6 @@ class Report:
             inner = " ".join(f"{k}={_plain(v)}" for k, v in witness.items())
             parts.append(f"[{inner}]")
         return "  ".join(parts)
-
-
-# -- independent reference and oracle --------------------------------------
-
-
-# one derived level, all in integers: L, each anchor as (x L, y L), the
-# common denominator W of the values and each value times W, and the radius
-# as (numerator, denominator)
-Level = tuple[int, list[tuple[int, int]], int, list[int], tuple[int, int]]
-
-
-def _lattice(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
-    """L, the lcm of the points' coordinate denominators, and each point as
-    the integers (x L, y L)."""
-    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
-    scale = lcm(*(d for pair in ratios for _, d in pair))
-    return scale, [
-        (x_n * (scale // x_d), y_n * (scale // y_d)) for (x_n, x_d), (y_n, y_d) in ratios
-    ]
-
-
-def _common(values: Sequence[Rational]) -> tuple[int, list[int]]:
-    """W, the lcm of the values' denominators, and each value times W."""
-    ratios = [value.as_integer_ratio() for value in values]
-    denominator = lcm(*(d for _, d in ratios))
-    return denominator, [n * (denominator // d) for n, d in ratios]
-
-
-def _radius(scale: int, lattice: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """min(1, half the minimum pairwise L-infinity distance) as (numerator,
-    denominator), over every pair of points scaled by L."""
-    separation = min(
-        (
-            max(abs(ax - bx), abs(ay - by))
-            for i, (ax, ay) in enumerate(lattice)
-            for bx, by in lattice[i + 1 :]
-        ),
-        default=None,
-    )
-    if separation is None:
-        return 1, 1
-    if separation == 0:
-        raise ValueError("anchors must be pairwise distinct")
-    return min(separation, 2 * scale), 2 * scale
-
-
-def _scan(point: Point, level: Level) -> Rational:
-    """hat * tent at `point` from one scan of the level's anchors, in integers.
-
-    With M the lcm of L and the point's two denominators, every distance
-    is an integer D over M: the hat is (M - min D) / M, an anchor is inside
-    its tent when D r_d < r_n M, and there its tent is
-    (r_n M - D r_d) / (r_n M).  The value is one `Fraction` at the end.
-    """
-    scale, anchors, denominator, values, (r_n, r_d) = level
-    (x_n, x_d), (y_n, y_d) = point[0].as_integer_ratio(), point[1].as_integer_ratio()
-    m = lcm(scale, x_d, y_d)
-    k, px, py = m // scale, x_n * (m // x_d), y_n * (m // y_d)
-    distances = [max(abs(k * ax - px), abs(k * ay - py)) for ax, ay in anchors]
-    nearest = min(distances)
-    if nearest >= m:
-        return ZERO
-    if len(distances) == 1:
-        return Fraction(m - nearest, m)
-    reach = r_n * m
-    tent = sum(v * (reach - d * r_d) for v, d in zip(values, distances) if d * r_d < reach)
-    return Fraction((m - nearest) * tent, m * m * denominator * r_n)
-
-
-def cross_anchors(xs: Sequence[Rational], ys: Sequence[Rational]) -> list[Point]:
-    """The anchors of the cross through (x_n, y_n) = (xs[-1], ys[-1]).
-
-    Its column's (x_n, y_0)..(x_n, y_n), then its row's (x_0, y_n)..(x_{n-1}, y_n).
-    """
-    x_n, y_n = xs[-1], ys[-1]
-    return [(x_n, y) for y in ys] + [(x, y_n) for x in xs[:-1]]
-
-
-def brute_force_radius(anchors: Sequence[Point]) -> Rational:
-    """min(1, half the minimum pairwise L-infinity distance), over every pair.
-
-    A single anchor gets 1; coincident anchors are refused, since their
-    tents would have no room.
-    """
-    return Fraction(*_radius(*_lattice(anchors)))
-
-
-def linear_scan_value(
-    point: Point, anchors: Sequence[Point], values: Sequence[Rational], radius: Rational
-) -> Rational:
-    """hat * tent at `point`, from one scan of its distances to every anchor.
-
-    The hat is max(0, 1 - distance to the nearest anchor); the tent sums
-    value * (1 - d/radius) over the anchors within `radius`.  A single
-    anchor gives the bare hat, the level-0 function.
-    """
-    if len(values) != len(anchors):
-        raise ValueError("one value per anchor required")
-    if radius <= 0:
-        raise ValueError("tent radius must be positive")
-    return _scan(point, (*_lattice(anchors), *_common(values), radius.as_integer_ratio()))
-
-
-def oracle_eval(
-    pairing: Pairing,
-    x: Rational,
-    y: Rational,
-    max_level: int = MAX_ORACLE_LEVEL,
-    derived: list[Level] | None = None,
-) -> Rational:
-    """Value at (x, y) by the linear scan of the level of x, derived bottom-up.
-
-    Level n's anchors come from the pair coordinates, their values from the
-    linear scans of the earlier levels (never from the tower), and its
-    radius by brute force; the level is kept in integers, as a `Level`.
-    Refuses when the level of x exceeds `max_level`, and refuses a
-    `max_level` above the depth cap `MAX_ORACLE_LEVEL`.  Pass one `derived`
-    list to share the derived levels across calls on the same pairing, or
-    to read them back (as `check_oracle_equivalence` does); that is sound
-    because a level depends only on the pairs up to it, and a pairing only
-    appends.  Without one, a fresh list is used.
-    """
-    if max_level > MAX_ORACLE_LEVEL:
-        raise Refusal(f"max_level exceeds the oracle depth cap {MAX_ORACLE_LEVEL}")
-    level = pairing.x_level(x, max_level=max_level)
-    derived = [] if derived is None else derived
-    for n in range(len(derived), level + 1):
-        anchors = cross_anchors(*zip(*pairing.pairs[: n + 1]))
-        # anchor i is on the row of level i, and anchor n + 1 + i on its column
-        column = [_scan(anchors[i], derived[i]) for i in range(n)]
-        row = [_scan(anchors[n + 1 + i], derived[i]) for i in range(n)]
-        scale, lattice = _lattice(anchors)
-        values = _common([*column, ONE, *row])
-        derived.append((scale, lattice, *values, _radius(scale, lattice)))
-    return _scan((x, y), derived[level])
 
 
 # -- checks ----------------------------------------------------------------
@@ -500,7 +340,7 @@ def check_oracle_equivalence(
             if i >= n:
                 points += [(x + step, y) for step in steps]
         for point in points:
-            fast, slow = cross.value_at(point), _scan(point, level)
+            fast, slow = cross.value_at(point), scan_level(point, level)
             if fast != slow:
                 failures.append(
                     {"level": n, "x": point[0], "y": point[1], "tower": fast, "oracle": slow}

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from crossweave.cross_extension import ZERO, build_cross
 from crossweave.rationals import format_rational
-from crossweave.verify import brute_force_radius, cross_anchors, linear_scan_value
+from crossweave.oracle import brute_force_radius, cross_anchors, linear_scan_value
 from crossweave.weave import WovenFunction
 from towers import tower_on
 

@@ -413,6 +413,16 @@ class TestLevelLookup:
             assert pairing.y_level(value) == pairing.y_level(Fraction(value))
 
     @pytest.mark.parametrize("axis", ["x_level", "y_level"])
+    def test_a_repeated_coordinate_fails_the_lookup(self, axis):
+        """A pairing whose axis repeats a coordinate is broken: a lookup that
+        misses raises instead of re-filling the index forever."""
+        pairing = Pairing()
+        repeated = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))
+        pairing.pairs.extend(repeated if axis == "x_level" else [pair[::-1] for pair in repeated])
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            getattr(pairing, axis)(Fraction(5))
+
+    @pytest.mark.parametrize("axis", ["x_level", "y_level"])
     def test_a_coordinate_that_cannot_be_hashed_is_found(self, axis):
         """A lookup reads the coordinate's terms, never its hash: a placed
         value, one placed by the lookup's own extension, and a refusal."""

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from crossweave import verify
+from crossweave import oracle, verify
 from crossweave.cross_extension import CrossFunction, build_cross
+from crossweave.oracle import brute_force_radius, cross_anchors, linear_scan_value
 from crossweave.verify import (
     MAX_ORACLE_LEVEL,
     SUITES,
@@ -18,16 +21,13 @@ from crossweave.verify import (
     U_LO,
     Refusal,
     Report,
-    brute_force_radius,
     check_image_density,
     check_oracle_equivalence,
     check_parameter_range,
     check_sections,
     check_singleton_image,
     check_welldefined,
-    cross_anchors,
     image_density_search,
-    linear_scan_value,
     nonfeeble_witness,
     oracle_eval,
     run_suite,
@@ -156,6 +156,19 @@ class TestOracle:
         expected += [(a + step, cross.row_y) for a in rows for step in steps]
         assert sorted(seen) == sorted(expected)
 
+    def test_the_check_calls_the_oracle_through_verify(self, monkeypatch):
+        """`check_oracle_equivalence` looks `oracle_eval` up among `verify`'s
+        globals, so a wrapper set there sees its one call."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return oracle_eval(*args)
+
+        monkeypatch.setattr(verify, "oracle_eval", counting)
+        assert check_oracle_equivalence(WovenFunction(), max_level=5).passed
+        assert len(calls) == 1
+
     def test_equivalence_check_rejects_deep_cap(self, woven):
         with pytest.raises(Refusal):
             check_oracle_equivalence(woven, max_level=MAX_ORACLE_LEVEL + 1)
@@ -186,6 +199,40 @@ class TestOracle:
             values = [Fraction(v, denominator) for v in values]
             assert values == [*woven.column_params[n], 1, *woven.row_params[n]], n
             assert Fraction(*radius) == woven.cross(n).radius, n
+
+
+def package_imports(module: str) -> set[str]:
+    """The modules of the package that `module`'s source imports, the
+    package itself as `__init__`."""
+    source = Path(oracle.__file__).with_name(f"{module}.py")
+    found = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = [f"crossweave.{node.module}" if node.module else "crossweave"]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name == "crossweave" or name.startswith("crossweave."):
+                found.add(name.removeprefix("crossweave").lstrip(".") or "__init__")
+    return found
+
+
+def test_the_oracle_imports_nothing_of_the_tower():
+    """Every package module that `oracle` imports, directly or through
+    another, is `pairing` or `rationals`: the reference shares no code
+    with `cross_extension` or `weave`."""
+    reached, pending = set(), ["oracle"]
+    while pending:
+        module = pending.pop()
+        if module not in reached:
+            reached.add(module)
+            pending.extend(package_imports(module))
+    assert reached == {"oracle", "pairing", "rationals"}
+    assert package_imports("verify") >= {"oracle", "weave"}  # the walk reads imports
 
 
 def points(*coordinates):
@@ -603,7 +650,7 @@ class TestHandTowers:
             )
             return separation, 2 * scale
 
-        monkeypatch.setattr(verify, "_radius", capless_radius)
+        monkeypatch.setattr(oracle, "_radius", capless_radius)
         report = check_oracle_equivalence(tower_on(*wide_gap_coordinates()), 2)
         assert not report.passed
         assert report.witnesses[0]["level"] == 1

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from crossweave.cross_extension import CrossFunction, build_cross
 from crossweave.pairing import Refusal
-from crossweave.verify import brute_force_radius, cross_anchors, linear_scan_value
+from crossweave.oracle import brute_force_radius, cross_anchors, linear_scan_value
 from crossweave.weave import Screen, WovenFunction
 from towers import dyadic_coordinates, tower_on
 
