@@ -184,19 +184,22 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
         raise Refusal("count must be nonnegative")
     pairing = Pairing()
     pairing.extend(args.count)
+    # written as formatted, never held whole: json.dumps(..., indent=2)'s layout
+    # without its pure-Python indented encoder, as "p/q" text needs no escaping
     with _stdout():
         if args.json:
-            # the layout of json.dumps(..., indent=2), written directly: that call
-            # takes the slow pure-Python encoder, and "p/q" text needs no escaping
-            objects = [
-                f'  {{\n    "n": {n},\n    "x": "{format_rational(x)}",\n'
+            sys.stdout.writelines(
+                (",\n" if n else "[\n")
+                + f'  {{\n    "n": {n},\n    "x": "{format_rational(x)}",\n'
                 f'    "y": "{format_rational(y)}"\n  }}'
                 for n, (x, y) in enumerate(pairing.pairs)
-            ]
-            print("[\n" + ",\n".join(objects) + "\n]" if objects else "[]")
+            )
+            print("\n]" if pairing.pairs else "[]")
         else:
-            for n, (x, y) in enumerate(pairing.pairs):
-                print(f"{n} {format_rational(x)} {format_rational(y)}")
+            sys.stdout.writelines(
+                f"{n} {format_rational(x)} {format_rational(y)}\n"
+                for n, (x, y) in enumerate(pairing.pairs)
+            )
     return 0
 
 

@@ -17,7 +17,8 @@ Every pick is one scan of enumeration indices in integers: it steps from
 e(i) to e(i + 1) by Newman's successor, tests each against a side by
 cross-multiplying, and tests "unused" against a small set of indices (see
 `Pairing`).  Box sides are decided by the ranks of their corners and kept in
-terms, so a pick builds one `Fraction`, and a level map fills only on lookup.
+terms.  Each rational is built once, as a `Fraction`, by the first axis to
+pick it; the other axis reuses that object.  A level map fills only on lookup.
 """
 
 from __future__ import annotations
@@ -131,7 +132,9 @@ class Pairing:
     Every index below an axis's scan start is used, because tasks 0 and 1
     take the least unused index outright; at or above it, each axis keeps
     the indices that bounded picks (task 2) took, in a small set.  The start
-    m is kept with e(m)'s terms, so no scan rebuilds its value.
+    m is kept with e(m)'s terms, so no scan rebuilds its value.  The first
+    axis to pick an index builds its value and leaves it in `_handoff`; the
+    other, which reaches the index soon after, takes it from there.
 
     `pairs` is the only record of the sequence.  A lookup that misses fills
     its axis's map from coordinate terms to level from the pairs placed
@@ -145,6 +148,7 @@ class Pairing:
         self._level_of: tuple[dict[tuple[int, int], int], ...] = ({}, {})
         self._next = [(0, 0, 1), (0, 0, 1)]
         self._ahead: tuple[set[int], set[int]] = (set(), set())
+        self._handoff: dict[int, Rational] = {}  # values placed on one axis only
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -172,7 +176,8 @@ class Pairing:
                 num = -num
             else:
                 num, den = den, (2 * (-num // den) + 1) * den + num
-        picked = Rational(num, den)
+        if (picked := self._handoff.pop(index, None)) is None:  # Fraction(0) is falsy
+            picked = self._handoff[index] = Rational(num, den)
         if side is _OPEN:
             ahead.difference_update(range(start[0], index))
             num, den = (-num, den) if num > 0 else (den, (2 * (-num // den) + 1) * den + num)

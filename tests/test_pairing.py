@@ -194,6 +194,21 @@ class TestPairingConstruction:
                 assert pair[axis] == value, (step, axis)
                 used[axis].add(value)
 
+    def test_each_rational_is_one_object_on_both_axes(self):
+        """The first axis to pick an index builds its value and the other
+        reuses it, so the handoff holds just the values on one axis so far,
+        each under its own enumeration index."""
+        pairing = Pairing()
+        pairing.extend(3000)
+        xs = {x: x for x, _ in pairing.pairs}
+        ys = {y for _, y in pairing.pairs}
+        both = [(xs[y], y) for _, y in pairing.pairs if y in xs]
+        assert len(both) > 2900
+        assert all(x is y for x, y in both)
+        handoff = pairing._handoff
+        assert sorted(handoff.values()) == sorted(xs.keys() ^ ys)
+        assert all(index_of(value) == index for index, value in handoff.items())
+
     def test_rebuild_is_identical(self):
         one, two = Pairing(), Pairing()
         one.extend(500)
