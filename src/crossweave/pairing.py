@@ -17,14 +17,16 @@ Every pick is one scan of enumeration indices in integers: it steps from
 e(i) to e(i + 1) by Newman's successor, tests each against a side by
 cross-multiplying, and tests "unused" against a small set of indices (see
 `Pairing`).  Box sides are decided by the ranks of their corners and kept in
-terms.  Each rational is built once, as a `Fraction`, by the first axis to
-pick it; the other axis reuses that object.  A level map fills only on lookup.
+terms; only `enumerate_box` builds a `Box`, a named tuple of the four
+corners, for `verify` and the tests.  Each rational is built once, as a
+`Fraction`, by the first axis to pick it; the other axis reuses that object.
+A level map fills only on lookup.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 from .rationals import Rational, enumerate_rational, index_of
@@ -42,18 +44,21 @@ class Refusal(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class Box:
-    """Open axis-aligned rectangle with rational corners."""
+class Box(namedtuple("Box", "x_lo x_hi y_lo y_hi")):
+    """Open axis-aligned rectangle with rational corners.
 
-    x_lo: Rational
-    x_hi: Rational
-    y_lo: Rational
-    y_hi: Rational
+    An immutable named tuple of its corners: equal and hashed as that
+    tuple, and refused at construction when a side is empty.  A tuple, not
+    a dataclass, so that importing the package does not load `dataclasses`
+    and, through it, `inspect`.
+    """
 
-    def __post_init__(self) -> None:
-        if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
+    __slots__ = ()
+
+    def __new__(cls, x_lo: Rational, x_hi: Rational, y_lo: Rational, y_hi: Rational) -> Box:
+        if not (x_lo < x_hi and y_lo < y_hi):
             raise ValueError("box sides must be nonempty open intervals")
+        return super().__new__(cls, x_lo, x_hi, y_lo, y_hi)
 
     def strictly_inside(self, x: Rational, y: Rational) -> bool:
         return self.x_lo < x < self.x_hi and self.y_lo < y < self.y_hi

@@ -29,8 +29,8 @@ The checks deliberately re-derive what they test through independent routes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .oracle import MAX_ORACLE_LEVEL, Level, oracle_eval, scan_level
 from .pairing import Refusal, enumerate_box
@@ -55,7 +55,6 @@ def _plain(value: object) -> object:
     return value
 
 
-@dataclass
 class Report:
     """Outcome of one check: its name, the bounds used, how many items it
     examined, and the failures and passing examples it found.
@@ -65,11 +64,19 @@ class Report:
     first five failures, a passing one its examples.
     """
 
-    name: str
-    bounds: dict[str, object]
-    checked: int
-    failures: list[dict[str, object]]
-    examples: list[dict[str, object]] = field(default_factory=list)
+    def __init__(
+        self,
+        name: str,
+        bounds: dict[str, object],
+        checked: int,
+        failures: list[dict[str, object]],
+        examples: list[dict[str, object]] | None = None,
+    ) -> None:
+        self.name = name
+        self.bounds = bounds
+        self.checked = checked
+        self.failures = failures
+        self.examples = [] if examples is None else examples
 
     @property
     def passed(self) -> bool:
@@ -269,32 +276,56 @@ def check_sections(
     the bound; and the next anchor must be 2r or more away.  The range of v
     is `check_parameter_range`'s to decide, at the same depths; a v above 1
     also breaks the slope bound here.
+
+    The slope test runs in integers and rests on the premise above alone:
+    exact integers decide what exact `Fraction`s would.  Over W, the lcm of
+    the tent's five denominators, a half tent's values are P0/W, P1/W and
+    P2/W, so its end slopes times r W are N = 4 P1 - 3 P0 - P2 and
+    N = P0 - 4 P1 + 3 P2.  With r = r_n/r_d and the bound b_n/b_d,
+    |N| / (r W) <= b_n/b_d is |N| r_d b_d <= b_n W r_n, one
+    cross-multiplication, as every denominator is positive; only a half
+    that fails it gets its exact `Fraction` slopes, in its failure.
     `samples_per_kind` and `seed` are ignored; the benchmark passes them.
     """
     woven.build_to(levels - 1)
     failures = []
     halves = 0
+    largest = ONE
     for level in range(levels):
         cross = woven.cross(level)
         r, bound = cross.radius, cross.lipschitz_bound
+        largest = max(largest, bound) if level else bound
+        (r_n, r_d), (b_n, b_d) = r.as_integer_ratio(), bound.as_integer_ratio()
+        steep, flat, reach = r_d * b_d, b_n * r_n, 2 * r  # fails: |N| steep > W flat
         for axis, kind in enumerate(("row", "column")):
             anchors, values = cross.line(axis)
             for i, (a, v) in enumerate(zip(anchors, values)):
-                where = {"level": level, "kind": kind, "anchor": a}
+                # a + k r/2 for k = -2..2, over the denominator 2 a_d r_d
+                a_n, a_d = a.as_integer_ratio()
+                mid, step, den = 2 * a_n * r_d, a_d * r_n, 2 * a_d * r_d
                 tent = [
                     cross.value_at((t, cross.row_y) if axis == 0 else (cross.column_x, t))
-                    for t in (a - r, a - r / 2, a, a + r / 2, a + r)
+                    for t in (Fraction(mid + k * step, den) for k in (-2, -1, 0, 1, 2))
                 ]
-                if not (tent[2] == v and tent[0] == tent[4] == ZERO):
-                    failures.append({**where, "value": v, "tent": tent})
-                for p0, p1, p2 in (tent[:3], tent[2:]):
-                    halves += 1
-                    slopes = ((4 * p1 - 3 * p0 - p2) / r, (p0 - 4 * p1 + 3 * p2) / r)
-                    if max(map(abs, slopes)) > bound:
-                        failures.append({**where, "slopes": slopes})
-                if i + 1 < len(anchors) and anchors[i + 1] - a < 2 * r:
-                    failures.append({**where, "next": anchors[i + 1], "radius": r})
-    largest = max((woven.cross(n).lipschitz_bound for n in range(levels)), default=ONE)
+                w = lcm(*(t.denominator for t in tent))
+                p = [t.numerator * (w // t.denominator) for t in tent]
+                if not (tent[2] == v and p[0] == p[4] == 0):
+                    failures.append(
+                        {"level": level, "kind": kind, "anchor": a, "value": v, "tent": tent}
+                    )
+                halves += 2
+                for j in (0, 2):
+                    p0, p1, p2 = p[j : j + 3]
+                    n = max(abs(4 * p1 - 3 * p0 - p2), abs(p0 - 4 * p1 + 3 * p2))
+                    if n * steep > w * flat:
+                        f0, f1, f2 = tent[j : j + 3]
+                        slopes = ((4 * f1 - 3 * f0 - f2) / r, (f0 - 4 * f1 + 3 * f2) / r)
+                        failures.append(
+                            {"level": level, "kind": kind, "anchor": a, "slopes": slopes}
+                        )
+                if i + 1 < len(anchors) and anchors[i + 1] - a < reach:
+                    gap = {"next": anchors[i + 1], "radius": r}
+                    failures.append({"level": level, "kind": kind, "anchor": a, **gap})
     bounds = {"levels": levels, "largest_lipschitz": largest}
     return Report("section_lipschitz", bounds, halves, failures)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +123,69 @@ def test_a_file_from_another_machine_is_not_compared_with(tmp_path, monkeypatch)
     assert bench.main() == 1
     record = json.loads((tmp_path / "BENCH_3.json").read_text())
     assert record["compared_with"] == "BENCH_2.json" and len(record["flagged"]) == 1
+
+
+def fake_processes(monkeypatch, seconds, failing=None):
+    """Replace the recorder's runs: the harness prints one run of `w.run_s`
+    1.0, and the k-th start of a timed process takes seconds[name][k], by a
+    clock that only those processes advance; `failing` exits with 1.  Every
+    call is recorded as (argv, cwd, PYTHONPATH)."""
+    stdout = json.dumps({"machine": {"nproc": 2}}) + "\n" + json.dumps(final({"w.run_s": 1.0}))
+    names = {tuple(args): name for name, args in bench.PROCESSES.items()}
+    clock, started, calls = [0.0], {}, []
+
+    def run(command, **kwargs):
+        calls.append((command, kwargs.get("cwd"), kwargs.get("env", {}).get("PYTHONPATH")))
+        name = names.get(tuple(command[1:]))
+        if name is None:
+            return bench.subprocess.CompletedProcess(command, 0, stdout=stdout)
+        k = started[name] = started.get(name, -1) + 1
+        clock[0] += seconds[name][k]
+        return bench.subprocess.CompletedProcess(command, int(name == failing))
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    monkeypatch.setattr(bench, "perf_counter", lambda: clock[0])
+    return calls
+
+
+def test_each_process_is_timed_fresh_in_turn_and_recorded_as_its_median(
+    tmp_path, monkeypatch
+):
+    fake_root(tmp_path, monkeypatch, 0, "")
+    names = list(bench.PROCESSES)
+    seconds = {name: [3.0 + k, 1.0 + k, 2.0 + k] for k, name in enumerate(names)}
+    calls = fake_processes(monkeypatch, seconds)
+    assert bench.main() == 0
+    timed = [(command, cwd, path) for command, cwd, path in calls if command[0] == sys.executable]
+    # the commands take turns, from the root, with its src first on the path
+    assert [command[1:] for command, _, _ in timed] == list(bench.PROCESSES.values()) * bench.RUNS
+    assert all(cwd == tmp_path for _, cwd, _ in timed)
+    assert all(path.split(os.pathsep)[0] == str(tmp_path / "src") for _, _, path in timed)
+    record = json.loads((tmp_path / "BENCH_1.json").read_text())
+    for k, name in enumerate(names):
+        assert record["metrics"][f"process.{name}"] == {"value": 2.0 + k, "unit": "s"}
+    assert record["metrics"]["w.run_s"]["value"] == 1.0
+    assert set(record["processes"]) == set(names)
+
+
+def test_a_process_that_exits_nonzero_writes_no_file(tmp_path, monkeypatch):
+    fake_root(tmp_path, monkeypatch, 0, "")
+    seconds = {name: [1.0] * bench.RUNS for name in bench.PROCESSES}
+    fake_processes(monkeypatch, seconds, failing="grid_8_s")
+    assert bench.main() == 1
+    assert bench.bench_files(tmp_path) == []
+
+
+def test_a_slower_process_is_recorded_but_not_flagged(tmp_path, monkeypatch):
+    """No bound covers `process.*`: a hundred times slower is not a flag."""
+    fake_root(tmp_path, monkeypatch, 0, "")
+    seconds = {name: [100.0] * bench.RUNS for name in bench.PROCESSES}
+    fake_processes(monkeypatch, seconds)
+    command = ["run", "--workload", "all", "--seed", "2026", "--seconds", "4"]
+    metrics = {f"process.{name}": {"value": 1.0, "unit": "s"} for name in bench.PROCESSES}
+    earlier = {"command": command, "machine": {"nproc": 2}, "metrics": metrics}
+    (tmp_path / "BENCH_1.json").write_text(json.dumps(earlier))
+    assert bench.main() == 0
+    record = json.loads((tmp_path / "BENCH_2.json").read_text())
+    assert record["compared_with"] == "BENCH_1.json" and record["flagged"] == []
+    assert record["metrics"]["process.lipschitz_16384_s"]["value"] == 100.0

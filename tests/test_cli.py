@@ -460,6 +460,26 @@ class TestOutputs:
         assert err == "refused: cannot write stdout: Broken pipe\n"
 
 
+def test_the_cold_import_loads_no_dataclasses_or_inspect():
+    """A fresh interpreter that imports the CLI loads neither `dataclasses`
+    nor `inspect`, which `dataclasses` pulls in with `ast` and `dis`: every
+    process that runs a command pays for what the import loads."""
+    source = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {source!r})\n"
+        "import crossweave.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert {"crossweave.cli", "crossweave.verify", "crossweave.pairing"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def optional(flag, values):
     """Either nothing or `flag` followed by one drawn value."""
     return st.one_of(st.just([]), values.map(lambda value: [flag, value]))

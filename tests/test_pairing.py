@@ -81,6 +81,15 @@ class TestBoxes:
         with pytest.raises(ValueError):
             Box(Fraction(0), Fraction(0), Fraction(0), Fraction(1))
 
+    def test_a_box_is_immutable_and_hashed_by_its_corners(self):
+        box = enumerate_box(0)
+        assert box == Box(Fraction(0), Fraction(1), Fraction(0), Fraction(1))
+        assert len({box, enumerate_box(0), enumerate_box(1)}) == 2
+        with pytest.raises(AttributeError):
+            box.x_lo = Fraction(-1)
+        with pytest.raises(AttributeError):
+            box.corner = Fraction(-1)
+
     def test_first_boxes(self):
         # worked by hand through the 4-tuple enumeration
         assert enumerate_box(0) == Box(Fraction(0), Fraction(1), Fraction(0), Fraction(1))

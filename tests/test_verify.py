@@ -520,6 +520,41 @@ class TestSectionContinuity:
         found = {(w["level"], w["kind"]) for w in report.witnesses}
         assert found == {(0, "column"), (0, "row")}
 
+    def test_the_integer_bound_keeps_both_denominators(self, monkeypatch):
+        """Level 2 of this tower has radius 3/10, and its steepest half-tent
+        slope, 13/3, has a denominator above 1 too, so a slope test that
+        dropped either denominator would misjudge it.  With the bound at
+        that slope the report passes; 1/10^6 below it, it fails with the
+        exact slopes of the halves that reach it, all at level 2."""
+        xs = [Fraction(0), Fraction(6, 5), Fraction(3, 5)]
+        tower = tower_on(xs, [Fraction(0), Fraction(6, 5), Fraction(-3, 5)])
+        tower.build_to(2)
+        cross = tower.cross(2)
+        r = cross.radius
+        halves = []
+        for axis, kind in enumerate(("row", "column")):
+            for a in cross.line(axis)[0]:
+                tent = [
+                    cross.value_at((t, cross.row_y) if axis == 0 else (cross.column_x, t))
+                    for t in (a - r, a - r / 2, a, a + r / 2, a + r)
+                ]
+                for p0, p1, p2 in (tent[:3], tent[2:]):
+                    slopes = ((4 * p1 - 3 * p0 - p2) / r, (p0 - 4 * p1 + 3 * p2) / r)
+                    halves.append((kind, slopes))
+        steepest = max(abs(s) for _, slopes in halves for s in slopes)
+        assert (r, steepest) == (Fraction(3, 10), Fraction(13, 3))
+        monkeypatch.setattr(CrossFunction, "lipschitz_bound", steepest)
+        report = check_sections(tower, levels=3)
+        assert report.passed, report.witnesses
+        monkeypatch.setattr(CrossFunction, "lipschitz_bound", steepest - Fraction(1, 10**6))
+        report = check_sections(tower, levels=3)
+        assert not report.passed
+        found = [(w["level"], w["kind"], w["slopes"]) for w in report.failures]
+        assert found == [
+            (2, kind, slopes) for kind, slopes in halves if max(map(abs, slopes)) == steepest
+        ]
+        assert len(found) == 4
+
     def test_overlapping_tents_fail(self):
         """Level 2's lines each hold the anchor 0, value 1/2, and the center
         1/2, value 1: a gap of 1/2, so a radius of 1/2 overlaps the tents."""
@@ -670,6 +705,11 @@ class TestReportsAndDriver:
         assert payload["bounds"]["eps"] == "1/40"
         assert payload["witnesses"][0]["x"] == "-1/2"
         assert json.loads(json.dumps(payload)) == payload
+
+    def test_each_report_has_its_own_examples(self):
+        first, second = Report("a", {}, 1, []), Report(name="b", bounds={}, checked=1, failures=[])
+        first.examples.append({"x": Fraction(1)})
+        assert second.examples == [] and second.witnesses == []
 
     def test_text_line_shape(self):
         line = Report(name="demo", bounds={"n": 3}, checked=0, failures=[]).text_line()

@@ -3,37 +3,52 @@
     python3 tools/bench.py
 
 Each of its three runs is the command that `BENCHMARK.json` declares, with
-`--workload all --seed 2026 --seconds 4`; a run that exits nonzero stops the
-script with status 1 before any file is written.  Such a run prints, per workload, a
-header line (`sizes`, `machine`, `runs`) and a result line, and last one
+`--workload all --seed 2026 --seconds 4`.  Such a run prints, per workload,
+a header line (`sizes`, `machine`, `runs`) and a result line, and last one
 line that aggregates every end-to-end metric as `<workload>.<metric>`.  This
 script takes that last line of each run and the `machine` of the first
-header, and writes the median of each metric over the runs to
-`BENCH_<n>.json` at the repository root, n one past the highest BENCH file
-there.
+header.  It then times each command of `PROCESSES` as a fresh process, with
+`src` on the path, three times in turn, as `process.<name>`.  It writes the
+median of each metric over the runs to `BENCH_<n>.json` at the repository
+root, n one past the highest BENCH file there.  A run or a timed process
+that exits nonzero stops the script with status 1 before any file is
+written.
 
 It then flags each metric that is worse than in `BENCH_<n-1>.json` by more
 than its relative bound in `BENCHMARK.json`, in the direction that the
-metric's `better` names.  The flags are printed and stored in the new file.
-A previous file taken with another command or on another machine is not
-compared with, and the new file says so.  The exit status is 1 when a run
-fails, reports a failed check or a metric is flagged, else 0.
-Standard library only.
+metric's `better` names; no bound covers the `process.*` metrics, so they
+are recorded and never flagged.  The flags are printed and stored in the
+new file.  A previous file taken with another command or on another
+machine is not compared with, and the new file says so.  The exit status
+is 1 when a run or a timed process fails, a run reports a failed check or
+a metric is flagged, else 0.  Standard library only.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
 SEED = 2026
 SECONDS = 4  # per workload and run; one run of all four workloads takes about 17 s
+
+# the commands timed as fresh processes, each the interpreter's arguments
+PROCESSES = {
+    "verify_all_s": ["-m", "crossweave.cli", "verify", "--suite", "all"],
+    "lipschitz_16384_s": [
+        "-m", "crossweave.cli", "verify", "--suite", "lipschitz", "--depth", "16384",
+    ],
+    "grid_8_s": ["-m", "crossweave.cli", "grid", "--denominator", "8"],
+    "import_cli_s": ["-c", "import crossweave.cli"],
+}  # fmt: skip
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -82,6 +97,31 @@ def flagged(previous: dict, current: dict, bounds: dict[str, dict]) -> list[str]
     return lines
 
 
+def time_processes() -> dict | None:
+    """The median wall time of each of `PROCESSES` over `RUNS` fresh
+    processes, as `process.<name>` metrics; None when one exits nonzero.
+
+    The commands take turns, so a change in the host's speed reaches each.
+    """
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    times: dict[str, list[float]] = {name: [] for name in PROCESSES}
+    for _ in range(RUNS):
+        for name, args in PROCESSES.items():
+            start = perf_counter()
+            done = subprocess.run(
+                [sys.executable, *args], cwd=ROOT, env=env, stdout=subprocess.DEVNULL
+            )
+            times[name].append(perf_counter() - start)
+            if done.returncode != 0:
+                print(f"{name} exited with code {done.returncode}", file=sys.stderr)
+                return None
+    return {
+        f"process.{name}": {"value": statistics.median(values), "unit": "s"}
+        for name, values in times.items()
+    }
+
+
 def differs(previous: dict, command: list[str], machine: dict) -> list[str]:
     """Which of `command` and `machine` a previous BENCH file has otherwise."""
     now = {"command": command, "machine": machine}
@@ -118,7 +158,11 @@ def main() -> int:
         machine = machine or facts
         finals.append(final)
 
-    metrics = aggregate(finals)
+    print(f"timing {len(PROCESSES)} commands as processes", file=sys.stderr, flush=True)
+    processes = time_processes()
+    if processes is None:
+        return 1
+    metrics = {**aggregate(finals), **processes}
     existing = bench_files(ROOT)
     number = existing[-1][0] + 1 if existing else 1
     previous = json.loads(existing[-1][1].read_text(encoding="utf-8")) if existing else None
@@ -133,6 +177,7 @@ def main() -> int:
     flags = flagged(previous["metrics"], metrics, bounds) if previous else []
     record = {
         "command": command,
+        "processes": {name: ["python", *args] for name, args in PROCESSES.items()},
         "runs": RUNS,
         "statistic": "median over runs",
         "machine": machine,
