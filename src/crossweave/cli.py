@@ -109,24 +109,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _stdout() -> Iterator[None]:
-    """Refuse a failed write to stdout, then point it at os.devnull, as the
-    Python docs' note on SIGPIPE does, so the flush at exit cannot fail."""
+def _output(path: str | None = None) -> Iterator[IO[str]]:
+    """Yield stdout, or a new file at `path` written as ASCII with LF line
+    ends, and refuse a failed open or write of either, naming it.  A failed
+    stdout is first pointed at os.devnull, as the Python docs' note on
+    SIGPIPE does, so the flush at exit cannot fail."""
     try:
-        yield
-        sys.stdout.flush()
+        if path is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="ascii", newline="\n") as stream:
+                yield stream
     except OSError as error:
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        raise Refusal(f"cannot write stdout: {error.strerror}") from None
+        if path is None:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        target = "stdout" if path is None else path
+        raise Refusal(f"cannot write {target}: {error.strerror}") from None
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     value = WovenFunction().value(args.x, args.y, max_level=args.max_level)
-    with _stdout():
-        print(format_rational(value))
+    with _output() as out:
+        print(format_rational(value), file=out)
         if args.decimal:
-            print(f"decimal: {decimal_approx(value)}")
+            print(f"decimal: {decimal_approx(value)}", file=out)
     return 0
 
 
@@ -157,25 +165,15 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     for x in xs:
         woven.pairing.x_level(x, max_level=args.max_level)
 
-    def emit(stream: IO[str]) -> None:
-        stream.write("x,y,value_exact,value_decimal\n")
+    with _output(args.out) as out:
+        out.write("x,y,value_exact,value_decimal\n")
         for x in xs:
             for y in ys:
                 value = woven.value(x, y, max_level=args.max_level)
-                stream.write(
+                out.write(
                     f"{format_rational(x)},{format_rational(y)},"
                     f"{format_rational(value)},{decimal_approx(value)}\n"
                 )
-
-    if args.out is None:
-        with _stdout():
-            emit(sys.stdout)
-        return 0
-    try:
-        with open(args.out, "w", encoding="ascii", newline="\n") as stream:
-            emit(stream)
-    except OSError as error:
-        raise Refusal(f"cannot write {args.out}: {error.strerror}") from None
     return 0
 
 
@@ -186,17 +184,17 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
     pairing.extend(args.count)
     # written as formatted, never held whole: json.dumps(..., indent=2)'s layout
     # without its pure-Python indented encoder, as "p/q" text needs no escaping
-    with _stdout():
+    with _output() as out:
         if args.json:
-            sys.stdout.writelines(
+            out.writelines(
                 (",\n" if n else "[\n")
                 + f'  {{\n    "n": {n},\n    "x": "{format_rational(x)}",\n'
                 f'    "y": "{format_rational(y)}"\n  }}'
                 for n, (x, y) in enumerate(pairing.pairs)
             )
-            print("\n]" if pairing.pairs else "[]")
+            print("\n]" if pairing.pairs else "[]", file=out)
         else:
-            sys.stdout.writelines(
+            out.writelines(
                 f"{n} {format_rational(x)} {format_rational(y)}\n"
                 for n, (x, y) in enumerate(pairing.pairs)
             )
@@ -205,14 +203,14 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_suite(args.suite, depth=args.depth)
-    with _stdout():
+    with _output() as out:
         if args.format == "json":
-            print(json.dumps([report.to_dict() for report in reports], indent=2))
+            print(json.dumps([report.to_dict() for report in reports], indent=2), file=out)
         else:
             for report in reports:
-                print(report.text_line())
+                print(report.text_line(), file=out)
             passed = sum(report.passed for report in reports)
-            print(f"{passed}/{len(reports)} checks passed")
+            print(f"{passed}/{len(reports)} checks passed", file=out)
     return 0 if all(report.passed for report in reports) else 1
 
 

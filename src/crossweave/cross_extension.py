@@ -62,10 +62,16 @@ ONE = Fraction(1)
 # one line's nonzero anchors: the common denominator L of their coordinates,
 # each coordinate a as the integer a L in increasing order, and their values
 Line = tuple[int, tuple[int, ...], tuple[Rational, ...]]
+# one line's anchors as a caller gives them: (coordinate, value) pairs
+Anchors = Iterable[tuple[Rational, Rational]]
 
 
 class CrossFunction:
-    """One level's interpolant, holding only what exact evaluation needs.
+    """One level's interpolant, holding only what exact evaluation needs:
+    its center (x_n, y_n) as one pair, its radius, and its two lines in
+    integers, row first, as `line` reads them.  Both are indexed by axis:
+    `center[axis]` is the center's coordinate along `line(axis)`, x_n on
+    the row, whose anchors lie at x-coordinates, and y_n on the column.
 
     Immutable after construction; build instances through `build_cross`.
     """
@@ -78,13 +84,11 @@ class CrossFunction:
         lines: tuple[Line, Line],
     ) -> None:
         self.level = level
-        self.column_x, self.row_y = center
+        self.center = center
         self.radius = radius
-        # the nonzero anchors of each line, indexed by the axis their
-        # coordinates lie on: the row's at x-coordinates, the column's at
-        # y-coordinates, each a `Line` in integers.  The center, value 1, is
-        # on both.  These are the only record of the level's prescribed
-        # values.
+        # the nonzero anchors of the row, then the column, each a `Line`.
+        # The center, value 1, is on both.  These are the only record of the
+        # level's prescribed values.
         self._lines = lines
 
     def line(self, axis: int) -> tuple[list[Rational], tuple[Rational, ...]]:
@@ -129,11 +133,11 @@ class CrossFunction:
         0 takes the same path: its line holds only the center, its radius is
         1, and a hit returns the bare hat 1 - d, without the tent factor.
         """
-        px, py = point
+        (px, py), (cx, cy) = point, self.center
         x = px.as_integer_ratio()
-        if x == self.column_x.as_integer_ratio():
+        if x == cx.as_integer_ratio():
             (scale, coordinates, values), (t_n, t_d) = self._lines[1], py.as_integer_ratio()
-        elif py.as_integer_ratio() == self.row_y.as_integer_ratio():
+        elif py.as_integer_ratio() == cy.as_integer_ratio():
             (scale, coordinates, values), (t_n, t_d) = self._lines[0], x
         else:
             raise ValueError(f"point lies off the level-{self.level} cross")
@@ -157,9 +161,7 @@ class CrossFunction:
         return ZERO
 
 
-def _nonzero_line(
-    anchors: Iterable[tuple[Rational, Rational]], center: Rational
-) -> Line:
+def _nonzero_line(anchors: Anchors, center: Rational) -> Line:
     """The center (value 1) and the nonzero anchors of one line, as integers
     over their common denominator, sorted; a zero-valued anchor is dropped."""
     line = [(center.as_integer_ratio(), ONE)]
@@ -170,20 +172,17 @@ def _nonzero_line(
 
 
 def build_cross(
-    level: int,
-    center: Point,
-    column_anchors: Iterable[tuple[Rational, Rational]],
-    row_anchors: Iterable[tuple[Rational, Rational]],
-    radius: Rational,
+    level: int, center: Point, anchors: tuple[Anchors, Anchors], radius: Rational
 ) -> CrossFunction:
     """Build the level-n interpolant centered at (x_n, y_n).
 
-    `column_anchors` holds pairs (y_i, value at (x_n, y_i)) and
-    `row_anchors` pairs (x_i, value at (x_i, y_n)), for earlier levels i;
-    an anchor left out has value 0.  The center (x_n, y_n) always gets
-    value 1.  The values are the caller's and are not checked here: the
-    construction keeps them in [0, 1), and `verify`'s range suite
-    certifies that from the stored lines.
+    `anchors` holds the two lines' anchors in the order of `line`, row
+    first: the row's pairs (x_i, value at (x_i, y_n)), then the column's
+    pairs (y_i, value at (x_n, y_i)), for earlier levels i; an anchor left
+    out has value 0.  The center (x_n, y_n) always gets value 1.  The
+    values are the caller's and are not checked here: the construction
+    keeps them in [0, 1), and `verify`'s range suite certifies that from the
+    stored lines.
 
     `radius` is the tent radius, in (0, 1]: it must be at most half the
     minimum pairwise anchor distance, which the caller knows from the
@@ -192,6 +191,6 @@ def build_cross(
     """
     if not (ZERO < radius <= ONE) or (level == 0 and radius != ONE):
         raise ValueError("the tent radius must lie in (0, 1], and be 1 at level 0")
-    row_line = _nonzero_line(row_anchors, center[0])
-    column_line = _nonzero_line(column_anchors, center[1])
-    return CrossFunction(level, center, radius, (row_line, column_line))
+    # the row's center coordinate is x_n, the column's y_n
+    row, column = (_nonzero_line(line, t) for line, t in zip(anchors, center))
+    return CrossFunction(level, center, radius, (row, column))

@@ -31,14 +31,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Iterator
 
+from .cross_extension import ONE, ZERO
 from .oracle import MAX_ORACLE_LEVEL, Level, oracle_eval, scan_level
 from .pairing import Refusal, enumerate_box
 from .rationals import Rational, format_rational
 from .weave import WovenFunction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # the value interval (U_LO, U_HI) whose preimage `nonfeeble_witness` certifies
 U_LO, U_HI = Fraction(1, 4), Fraction(3, 4)
@@ -109,6 +108,17 @@ class Report:
 # -- checks ----------------------------------------------------------------
 
 
+def _stored_lines(woven: WovenFunction, levels: int) -> Iterator[tuple]:
+    """Each stored line of every level below `levels`, row first: the level,
+    its cross, the line's axis and name, and its nonzero anchors'
+    coordinates and values, as `CrossFunction.line` gives them."""
+    woven.build_to(levels - 1)
+    for level in range(levels):
+        cross = woven.cross(level)
+        for axis, kind in enumerate(("row", "column")):
+            yield level, cross, axis, kind, *cross.line(axis)
+
+
 def check_singleton_image(woven: WovenFunction, levels: int = 512) -> Report:
     """Every diagonal pair below `levels` must evaluate to exactly 1."""
     woven.build_to(levels - 1)
@@ -160,19 +170,15 @@ def check_parameter_range(woven: WovenFunction, levels: int = 256) -> Report:
     The range is decided on each value's numerator n and denominator d,
     which is positive, as 0 < n < d.
     """
-    woven.build_to(levels - 1)
     failures = []
     read = 0
-    for level in range(levels):
-        cross = woven.cross(level)
-        for axis, kind in enumerate(("row", "column")):
-            center = (cross.column_x, cross.row_y)[axis]
-            anchors, values = cross.line(axis)
-            read += len(values)
-            for a, value in zip(anchors, values):
-                n, d = value.as_integer_ratio()
-                if not (n == d == 1 if a == center else 0 < n < d):
-                    failures.append({"level": level, "line": kind, "anchor": a, "value": value})
+    for level, cross, axis, kind, anchors, values in _stored_lines(woven, levels):
+        read += len(values)
+        center = cross.center[axis]
+        for a, value in zip(anchors, values):
+            n, d = value.as_integer_ratio()
+            if not (n == d == 1 if a == center else 0 < n < d):
+                failures.append({"level": level, "line": kind, "anchor": a, "value": value})
     return Report("parameter_range", {"levels": levels}, read, failures)
 
 
@@ -287,45 +293,41 @@ def check_sections(
     that fails it gets its exact `Fraction` slopes, in its failure.
     `samples_per_kind` and `seed` are ignored; the benchmark passes them.
     """
-    woven.build_to(levels - 1)
     failures = []
     halves = 0
     largest = ONE
-    for level in range(levels):
-        cross = woven.cross(level)
-        r, bound = cross.radius, cross.lipschitz_bound
-        largest = max(largest, bound) if level else bound
-        (r_n, r_d), (b_n, b_d) = r.as_integer_ratio(), bound.as_integer_ratio()
-        steep, flat, reach = r_d * b_d, b_n * r_n, 2 * r  # fails: |N| steep > W flat
-        for axis, kind in enumerate(("row", "column")):
-            anchors, values = cross.line(axis)
-            for i, (a, v) in enumerate(zip(anchors, values)):
-                # a + k r/2 for k = -2..2, over the denominator 2 a_d r_d
-                a_n, a_d = a.as_integer_ratio()
-                mid, step, den = 2 * a_n * r_d, a_d * r_n, 2 * a_d * r_d
-                tent = [
-                    cross.value_at((t, cross.row_y) if axis == 0 else (cross.column_x, t))
-                    for t in (Fraction(mid + k * step, den) for k in (-2, -1, 0, 1, 2))
-                ]
-                w = lcm(*(t.denominator for t in tent))
-                p = [t.numerator * (w // t.denominator) for t in tent]
-                if not (tent[2] == v and p[0] == p[4] == 0):
-                    failures.append(
-                        {"level": level, "kind": kind, "anchor": a, "value": v, "tent": tent}
-                    )
-                halves += 2
-                for j in (0, 2):
-                    p0, p1, p2 = p[j : j + 3]
-                    n = max(abs(4 * p1 - 3 * p0 - p2), abs(p0 - 4 * p1 + 3 * p2))
-                    if n * steep > w * flat:
-                        f0, f1, f2 = tent[j : j + 3]
-                        slopes = ((4 * f1 - 3 * f0 - f2) / r, (f0 - 4 * f1 + 3 * f2) / r)
-                        failures.append(
-                            {"level": level, "kind": kind, "anchor": a, "slopes": slopes}
-                        )
-                if i + 1 < len(anchors) and anchors[i + 1] - a < reach:
-                    gap = {"next": anchors[i + 1], "radius": r}
-                    failures.append({"level": level, "kind": kind, "anchor": a, **gap})
+    for level, cross, axis, kind, anchors, values in _stored_lines(woven, levels):
+        if not axis:  # the level's terms, read once, with its row
+            r, bound = cross.radius, cross.lipschitz_bound
+            largest = max(largest, bound) if level else bound
+            (r_n, r_d), (b_n, b_d) = r.as_integer_ratio(), bound.as_integer_ratio()
+            steep, flat, reach = r_d * b_d, b_n * r_n, 2 * r  # fails: |N| steep > W flat
+        s = cross.center[1 - axis]  # the line's fixed coordinate
+        for i, (a, v) in enumerate(zip(anchors, values)):
+            # a + k r/2 for k = -2..2, over the denominator 2 a_d r_d
+            a_n, a_d = a.as_integer_ratio()
+            mid, step, den = 2 * a_n * r_d, a_d * r_n, 2 * a_d * r_d
+            tent = [
+                cross.value_at((t, s) if axis == 0 else (s, t))
+                for t in (Fraction(mid + k * step, den) for k in (-2, -1, 0, 1, 2))
+            ]
+            w = lcm(*(t.denominator for t in tent))
+            p = [t.numerator * (w // t.denominator) for t in tent]
+            if not (tent[2] == v and p[0] == p[4] == 0):
+                failures.append(
+                    {"level": level, "kind": kind, "anchor": a, "value": v, "tent": tent}
+                )
+            halves += 2
+            for j in (0, 2):
+                p0, p1, p2 = p[j : j + 3]
+                n = max(abs(4 * p1 - 3 * p0 - p2), abs(p0 - 4 * p1 + 3 * p2))
+                if n * steep > w * flat:
+                    f0, f1, f2 = tent[j : j + 3]
+                    slopes = ((4 * f1 - 3 * f0 - f2) / r, (f0 - 4 * f1 + 3 * f2) / r)
+                    failures.append({"level": level, "kind": kind, "anchor": a, "slopes": slopes})
+            if i + 1 < len(anchors) and anchors[i + 1] - a < reach:
+                gap = {"next": anchors[i + 1], "radius": r}
+                failures.append({"level": level, "kind": kind, "anchor": a, **gap})
     bounds = {"levels": levels, "largest_lipschitz": largest}
     return Report("section_lipschitz", bounds, halves, failures)
 

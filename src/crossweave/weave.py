@@ -115,7 +115,7 @@ class Screen:
                         r_n, r_d = cross.radius.as_integer_ratio()
                         if d_n * r_d >= r_n * d_d:  # d >= r
                             break
-                        s = (cross.column_x, cross.row_y)[1 - self.axis]
+                        s = cross.center[1 - self.axis]
                         point = (t, s) if self.axis == 0 else (s, t)
                         anchors.append((s, cross.value_at(point)))
                         found.append(level)
@@ -125,11 +125,10 @@ class Screen:
         """Record the new level's line on this axis: its center, first seen
         here, and `found`, the levels of its other nonzero anchors as the
         other axis's screen found them, each anchor the center of its level."""
-        center = (cross.column_x, cross.row_y)[self.axis]
         self._levels.append([cross.level])
         # floor(log2(1/r)) equals floor(log2(floor(1/r))), as 1/r >= 1
         k = (cross.radius.denominator // cross.radius.numerator).bit_length() - 1
-        a_n, a_d = center.as_integer_ratio()
+        a_n, a_d = cross.center[self.axis].as_integer_ratio()
         buckets = self._groups.setdefault(k, {})
         b = (a_n << k) // (a_d << 1)
         buckets[b] = (a_n, a_d, self._levels[-1], buckets.get(b))
@@ -200,7 +199,8 @@ class WovenFunction:
             )
         self.pairing.ensure_length(level + 1)
         center = self.pairing.pairs[level]
-        # the new column meets the earlier rows, screened by x, and vice versa
+        # the new column meets the earlier rows, screened by x, and its row
+        # the earlier columns, screened by y; the cross takes them row first
         (column, x_found, x_gap), (row, y_found, y_gap) = (
             screen.prescribed(t, self.crosses) for screen, t in zip(self._screens, center)
         )
@@ -209,7 +209,7 @@ class WovenFunction:
         for gap in (x_gap, y_gap):
             if gap is not None:
                 radius = min(radius, gap / 2)
-        cross = build_cross(level, center, column, row, radius)
+        cross = build_cross(level, center, (row, column), radius)
         # the row's anchors sit at x-coordinates, the column's at y-coordinates
         for screen, found in zip(self._screens, (y_found, x_found)):
             screen.add(cross, found)

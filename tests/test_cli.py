@@ -381,9 +381,20 @@ class TestOutputs:
         assert out == ""
         assert err == "refused: cannot write /dev/full: No space left on device\n"
 
-    def test_a_broken_pipe_is_refused(self, capsys, monkeypatch, tmp_path):
-        """A stdout whose reader has gone ends in exit 2 and one line, and is
-        then pointed at os.devnull, so the flush at exit has nothing to fail."""
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pairs", "--count", "3"],
+            ["grid", "--denominator", "2"],
+            ["eval", "--x", "1", "--y", "3/4"],
+            ["verify", "--suite", "density"],
+        ],
+        ids=["pairs", "grid", "eval", "verify"],
+    )
+    def test_a_broken_pipe_is_refused(self, capsys, monkeypatch, tmp_path, argv):
+        """For every command, a stdout whose reader has gone ends in exit 2
+        and one line, and is then pointed at os.devnull, so the flush at exit
+        has nothing to fail."""
 
         class BrokenPipe(io.StringIO):
             def write(self, text):
@@ -395,7 +406,7 @@ class TestOutputs:
         descriptor = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
         try:
             monkeypatch.setattr(sys, "stdout", BrokenPipe())
-            assert cli.main(["pairs", "--count", "3"]) == 2
+            assert cli.main(argv) == 2
             assert os.path.samestat(os.fstat(descriptor), os.stat(os.devnull))
         finally:
             os.close(descriptor)

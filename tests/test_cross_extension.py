@@ -47,9 +47,9 @@ NEGATIVE = (
 
 def build(level, xs, ys, column_params, row_params):
     """build_cross with the brute-force radius of the cross's anchors."""
-    column, row = list(zip(ys, column_params)), list(zip(xs, row_params))
+    row, column = list(zip(xs, row_params)), list(zip(ys, column_params))
     radius = brute_force_radius(cross_anchors(xs, ys))
-    return build_cross(level, (xs[-1], ys[-1]), column, row, radius)
+    return build_cross(level, (xs[-1], ys[-1]), (row, column), radius)
 
 
 def reference_data(level, xs, ys, column_params, row_params):
@@ -155,7 +155,7 @@ class TestAnchorSetValidation:
 
 def hat(x0, y0):
     """The level-0 cross centered at (x0, y0): its line holds the center alone."""
-    return build_cross(0, (x0, y0), (), (), ONE)
+    return build_cross(0, (x0, y0), ((), ()), ONE)
 
 
 class TestBaseLevel:
@@ -174,8 +174,8 @@ class TestBaseLevel:
         """The hats of (0, 0) and (1/2, -2), L-infinity distance 2 apart, at
         the two points where their crosses meet."""
         near, far = hat(Fraction(0), Fraction(0)), hat(Fraction(1, 2), Fraction(-2))
-        meet_near_row = (far.column_x, near.row_y)
-        meet_near_column = (near.column_x, far.row_y)
+        meet_near_row = (far.center[0], near.center[1])
+        meet_near_column = (near.center[0], far.center[1])
         assert near.value_at(meet_near_row) == Fraction(1, 2)
         assert near.value_at(meet_near_column) == 0
         assert far.value_at(meet_near_row) == 0
@@ -269,12 +269,12 @@ class TestBuildValidation:
         center = (Fraction(1), Fraction(1))
         zero = [(Fraction(0), Fraction(0))]
         with pytest.raises(ValueError):
-            build_cross(1, center, zero, zero, radius)
+            build_cross(1, center, (zero, zero), radius)
 
     def test_level_zero_needs_the_hat_reach(self):
         """Level 0's tent test is its hat's support, so its radius is 1."""
         with pytest.raises(ValueError, match="be 1 at level 0"):
-            build_cross(0, ORIGIN, (), (), Fraction(1, 2))
+            build_cross(0, ORIGIN, ((), ()), Fraction(1, 2))
 
 
 class TestCrossProperties:
@@ -344,13 +344,14 @@ class TestCrossProperties:
         anchors, values = reference_data(*instance)
         radius = brute_force_radius(anchors)
         row, column = (cross.line(axis)[0] for axis in (0, 1))
+        x, y = cross.center
         points = [
-            (cross.column_x, t),
-            (s, cross.row_y),
-            (row[0] - radius / 2, cross.row_y),
-            (row[-1] + radius / 2, cross.row_y),
-            (cross.column_x, column[0] - radius / 2),
-            (cross.column_x, column[-1] + radius / 2),
+            (x, t),
+            (s, y),
+            (row[0] - radius / 2, y),
+            (row[-1] + radius / 2, y),
+            (x, column[0] - radius / 2),
+            (x, column[-1] + radius / 2),
         ]
         edges = []
         around_row = row[pick % len(row)]
@@ -358,8 +359,8 @@ class TestCrossProperties:
         for k in range(-9, 10):
             offset = radius * Fraction(k, 8)
             on_lines = [
-                (around_row + offset, cross.row_y),
-                (cross.column_x, around_column + offset),
+                (around_row + offset, y),
+                (x, around_column + offset),
             ]
             points.extend(on_lines)
             if abs(k) == 8:
@@ -380,8 +381,8 @@ class TestCrossProperties:
     def test_lipschitz_bound_on_the_cross(self, instance, t, s):
         """|f(p) - f(q)| <= (1 + 1/r) * dist(p, q) for cross points p, q."""
         cross = build(*instance)
-        p = (cross.column_x, t)
-        q = (s, cross.row_y)
+        p = (cross.center[0], t)
+        q = (s, cross.center[1])
         bound = cross.lipschitz_bound
         distance = max(abs(p[0] - q[0]), abs(p[1] - q[1]))
         assert abs(cross.value_at(p) - cross.value_at(q)) <= bound * distance
@@ -399,10 +400,11 @@ class TestTentValues:
             r = cross.radius
             offsets = (0, -r / 3, r / 3, -r / 2, r / 2, -r, r)
             row, column = (cross.line(axis)[0] for axis in (0, 1))
+            x, y = cross.center
             for a in row:
-                values += [cross.value_at((a + o, cross.row_y)) for o in offsets]
+                values += [cross.value_at((a + o, y)) for o in offsets]
             for a in column:
-                values += [cross.value_at((cross.column_x, a + o)) for o in offsets]
+                values += [cross.value_at((x, a + o)) for o in offsets]
         assert len(values) == 10829
         text = "\n".join(format_rational(value) for value in values)
         digest = hashlib.sha256(text.encode()).hexdigest()

@@ -111,15 +111,16 @@ class TestIncrementalTower:
             radius = brute_force_radius(anchors)
             assert cross.radius == radius
             points = list(anchors)
+            x, y = cross.center
             for _ in range(4):
                 t = Fraction(rng.randint(-128, 128), 64)
-                points += [(cross.column_x, cross.row_y + t), (cross.column_x + t, cross.row_y)]
+                points += [(x, y + t), (x + t, y)]
             for (ax, ay), value in zip(anchors, values):
                 if value:
                     offset = cross.radius * Fraction(rng.randint(-63, 63), 64)
-                    if ax == cross.column_x:
+                    if ax == x:
                         points.append((ax, ay + offset))
-                    if ay == cross.row_y:
+                    if ay == y:
                         points.append((ax + offset, ay))
             for point in points:
                 assert cross.value_at(point) == linear_scan_value(
@@ -189,7 +190,7 @@ class TestScreenedBuild:
         window, the buckets either side of t's own are probed, and within
         the radius the level's value is found."""
         screen = Screen(0)
-        cross = build_cross(0, (Fraction(1), Fraction(0)), [], [], Fraction(1))
+        cross = build_cross(0, (Fraction(1), Fraction(0)), ([], []), Fraction(1))
         screen.add(cross, [])
         for t in (Fraction(3), Fraction(-1)):
             assert screen.prescribed(t, [cross]) == ([], [], None)

@@ -52,3 +52,23 @@ def coprime_coordinates():
     xs = [Fraction(i * 7907 % (2 * p), p) for i, p in enumerate(x_primes)]
     ys = [Fraction(i * 7919 % (2 * p), p) for i, p in enumerate(y_primes)]
     return xs, ys
+
+
+def random_axis(rng, count=40):
+    """`count` distinct rationals for one axis, drawn with `rng` in a window
+    of span 1 to 100: dyadic ones, which sit on bucket edges, ones over
+    small and over large denominators, and about a quarter within 1/10^6 of
+    an earlier one."""
+    lo, span = rng.randint(-100, 100), rng.randint(1, 100)
+    placed = []
+    while len(placed) < count:
+        kind = rng.randrange(4 if placed else 3)
+        if kind == 3:
+            offset = Fraction(rng.choice((-1, 1)) * rng.randint(1, 1000), 10**9)
+            t = rng.choice(placed) + offset
+        else:  # dyadic, over a small denominator, or over a large one
+            d = (2 ** rng.randint(0, 10), rng.randint(1, 12), rng.randint(10**3, 10**9))[kind]
+            t = lo + Fraction(rng.randint(0, span * d), d)
+        if t not in placed:
+            placed.append(t)
+    return placed

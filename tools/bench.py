@@ -46,6 +46,8 @@ PROCESSES = {
     "lipschitz_16384_s": [
         "-m", "crossweave.cli", "verify", "--suite", "lipschitz", "--depth", "16384",
     ],
+    "oracle_256_s": ["-m", "crossweave.cli", "verify", "--suite", "oracle", "--depth", "256"],
+    "welldef_1024_s": ["-m", "crossweave.cli", "verify", "--suite", "welldef", "--depth", "1024"],
     "grid_8_s": ["-m", "crossweave.cli", "grid", "--denominator", "8"],
     "import_cli_s": ["-c", "import crossweave.cli"],
 }  # fmt: skip
