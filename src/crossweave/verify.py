@@ -13,7 +13,7 @@ The checks deliberately re-derive what they test through independent routes:
   coordinates alone and shares no code with the tower.
 * `check_welldefined` compares the defining column route against the row
   route that the construction must make equivalent, and is the only check
-  of that agreement.
+  of that agreement; it finds each column's and row's level once.
 * `check_parameter_range` reads every value a level stores on its two
   lines, the only record of its parameters, and requires the center's to
   be 1 and every other one to lie in (0, 1); a parameter no line stores
@@ -137,16 +137,23 @@ def check_singleton_image(woven: WovenFunction, levels: int = 512) -> Report:
 
 
 def check_welldefined(woven: WovenFunction, columns: int = 128, rows: int = 128) -> Report:
-    """Column-route and row-route evaluation must agree on the pair grid."""
+    """Column-route and row-route evaluation must agree on the pair grid.
+
+    Each column's and each row's level is found once, by the pairing's
+    lookup that `woven.value` or `woven.value_via_row` makes, and its cross
+    evaluates the route; the exact values are compared by their terms.
+    """
     woven.build_to(max(columns, rows) - 1)
+    pairing = woven.pairing
+    row_routes = [
+        (y, woven.cross(pairing.y_level(y)).value_at) for _, y in pairing.pairs[: max(rows, 0)]
+    ]
     failures = []
-    for m in range(columns):
-        x = woven.pairing.pairs[m][0]
-        for n in range(rows):
-            y = woven.pairing.pairs[n][1]
-            by_column = woven.value(x, y)
-            by_row = woven.value_via_row(x, y)
-            if by_column != by_row:
+    for m, (x, _) in enumerate(pairing.pairs[: max(columns, 0)]):
+        column_route = woven.cross(pairing.x_level(x)).value_at
+        for n, (y, row_route) in enumerate(row_routes):
+            by_column, by_row = column_route((x, y)), row_route((x, y))
+            if by_column.as_integer_ratio() != by_row.as_integer_ratio():
                 failures.append(
                     {
                         "column_level": m,

@@ -240,8 +240,10 @@ class WovenFunction:
     ) -> Rational:
         """Value at (x, y) through the level whose row holds y.
 
-        Exists to let the verifier test that both routes agree; `value` is
-        the canonical route.
+        `value` is the canonical route.  `verify.check_welldefined` compares
+        the two routes through the pairing's lookups and the crosses
+        directly, so this method stays only for the benchmark harness's
+        `query-warm` workload, which sends half of its queries here.
         """
         level = self.pairing.y_level(y, max_level)
         self.build_to(level)

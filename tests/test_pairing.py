@@ -90,6 +90,10 @@ class TestBoxes:
         with pytest.raises(AttributeError):
             box.corner = Fraction(-1)
 
+    def test_a_negative_ordinal_is_refused(self):
+        with pytest.raises(ValueError, match="^box ordinal must be nonnegative$"):
+            enumerate_box(-1)
+
     def test_first_boxes(self):
         # worked by hand through the 4-tuple enumeration
         assert enumerate_box(0) == Box(Fraction(0), Fraction(1), Fraction(0), Fraction(1))

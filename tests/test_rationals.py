@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossweave import rationals
 from crossweave.rationals import (
     decimal_approx,
     enumerate_rational,
@@ -171,6 +172,12 @@ class TestEnumeration:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             enumerate_rational(-1)
+
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(-3, 2)])
+    def test_tree_index_refuses_a_nonpositive_value(self, value):
+        # index_of never asks, as it strips the sign and maps 0 itself
+        with pytest.raises(ValueError, match="^tree positions exist for positive rationals only$"):
+            rationals._tree_index(value)
 
     @given(st.integers(min_value=0, max_value=10**9))
     def test_round_trip_property(self, n):

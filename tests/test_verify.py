@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from crossweave import oracle, verify
 from crossweave.cross_extension import CrossFunction, build_cross
 from crossweave.oracle import brute_force_radius, cross_anchors, linear_scan_value
+from crossweave.pairing import Pairing
 from crossweave.verify import (
     MAX_ORACLE_LEVEL,
     SUITES,
@@ -380,6 +381,22 @@ class TestBasicChecks:
         assert not report.passed
         witness = report.witnesses[0]
         assert witness["by_column"] != witness["by_row"]
+
+    def test_welldefined_looks_up_each_level_once(self, monkeypatch):
+        tower = WovenFunction()
+        tower.build_to(11)
+        calls = {"x_level": 0, "y_level": 0}
+        for name in calls:
+            lookup = getattr(Pairing, name)
+
+            def counted(self, value, max_level=None, name=name, lookup=lookup):
+                calls[name] += 1
+                return lookup(self, value, max_level)
+
+            monkeypatch.setattr(Pairing, name, counted)
+        report = check_welldefined(tower, 12, 12)
+        assert report.passed and report.checked == 144
+        assert calls == {"x_level": 12, "y_level": 12}
 
     def test_welldefined_catches_a_shifted_row(self):
         broken = WovenFunction()

@@ -7,6 +7,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,12 @@ class TestWorkedValues:
         assert woven.value(Fraction(1), Fraction(3, 4)) == Fraction(3, 8)
         assert woven.value(Fraction(1), Fraction(1, 2)) == 0
         assert woven.value(Fraction(1), Fraction(1)) == 1
+
+    def test_readme_library_example(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+        exec(block.split("```", 1)[0], {})
+        assert capsys.readouterr().out == "3/8\n1\n"
 
     def test_row_route_agrees_on_worked_points(self, woven):
         assert woven.value_via_row(Fraction(0), Fraction(0)) == 1
