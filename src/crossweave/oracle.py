@@ -32,11 +32,8 @@ Level = tuple[int, list[tuple[int, int]], int, list[int], tuple[int, int]]
 def _lattice(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
     """L, the lcm of the points' coordinate denominators, and each point as
     the integers (x L, y L)."""
-    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
-    scale = lcm(*(d for pair in ratios for _, d in pair))
-    return scale, [
-        (x_n * (scale // x_d), y_n * (scale // y_d)) for (x_n, x_d), (y_n, y_d) in ratios
-    ]
+    scale, coordinates = _common([c for point in points for c in point])
+    return scale, list(zip(coordinates[::2], coordinates[1::2]))
 
 
 def _common(values: Sequence[Rational]) -> tuple[int, list[int]]:

@@ -199,10 +199,6 @@ class Pairing:
             x_side, y_side = _box_sides(step // 3) if step % 3 == 2 else (_OPEN, _OPEN)
             self.pairs.append((take(0, x_side), take(1, y_side)))
 
-    def ensure_length(self, count: int) -> None:
-        if len(self.pairs) < count:
-            self.extend(count - len(self.pairs))
-
     # -- coordinate lookup ----------------------------------------------
 
     def x_level(self, value: Rational, max_level: int | None = None) -> int:

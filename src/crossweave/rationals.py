@@ -56,14 +56,14 @@ def format_rational(value: Fraction) -> str:
     return "%d/%d" % value.as_integer_ratio()
 
 
-def decimal_approx(value: Fraction, digits: int = 20) -> str:
-    """Decimal expansion of `value` to `digits` significant digits.
+def decimal_approx(value: Fraction) -> str:
+    """Decimal expansion of `value` to 20 significant digits.
 
     Round-to-nearest; for display only, never fed back into arithmetic.
     The context is made per call: a `Context` carries mutable flags, so one
     shared between threads would race.
     """
-    context = Context(prec=digits)
+    context = Context(prec=20)
     return str(context.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
@@ -76,7 +76,7 @@ def _tree_value(index: int) -> Fraction:
     positive rational appears exactly once, already in lowest terms.
 
     The `lru_cache` stays only because the benchmark harness reads its
-    `cache_info()` (ROADMAP item 1b); after 40 000 pairs it holds 17 values.
+    `cache_info()` (ROADMAP item 1); after 40 000 pairs it holds 17 values.
     """
     numerator, denominator = 1, 1
     for bit in bin(index)[3:]:
@@ -99,22 +99,17 @@ def _tree_index(value: Fraction) -> int:
     if value <= 0:
         raise ValueError("tree positions exist for positive rationals only")
     numerator, denominator = value.numerator, value.denominator
-    runs: list[tuple[int, int]] = []  # (bit, run length), leaf end first
+    index = shift = 0  # the path's bits below `shift`, leaf end lowest
     while (numerator, denominator) != (1, 1):
         if numerator > denominator:
             length = numerator - 1 if denominator == 1 else numerator // denominator
             numerator -= length * denominator
-            runs.append((1, length))
+            index |= ((1 << length) - 1) << shift
         else:
             length = denominator - 1 if numerator == 1 else denominator // numerator
             denominator -= length * numerator
-            runs.append((0, length))
-    index = 1
-    for bit, length in reversed(runs):
-        index <<= length
-        if bit:
-            index |= (1 << length) - 1
-    return index
+        shift += length
+    return index | 1 << shift
 
 
 def enumerate_rational(index: int) -> Fraction:

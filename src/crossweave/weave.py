@@ -70,9 +70,8 @@ class Screen:
         self.axis = axis
         # per level, the levels with a nonzero anchor at its center
         self._levels: list[list[int]] = []
-        # k -> bucket -> its newest coordinate a = a_n/a_d as (a_n, a_d,
-        # the levels at a, the bucket's previous entry or None)
-        self._groups: dict[int, dict[int, tuple]] = {}
+        # k -> bucket -> its coordinates a = a_n/a_d as (a_n, a_d, the levels at a)
+        self._groups: dict[int, dict[int, list[tuple[int, int, list[int]]]]] = {}
 
     def prescribed(
         self, t: Rational, crosses: list[CrossFunction]
@@ -100,9 +99,7 @@ class Screen:
         for k, buckets in self._groups.items():
             cell = (t_n << k) // (t_d << 1)
             for b in (cell - 1, cell, cell + 1):
-                entry = buckets.get(b)
-                while entry:
-                    a_n, a_d, levels, entry = entry
+                for a_n, a_d, levels in buckets.get(b, ()):
                     d_n, d_d = abs(a_n * t_d - t_n * a_d), a_d * t_d
                     if d_n << k >= d_d << 1:  # d >= w
                         continue
@@ -131,7 +128,7 @@ class Screen:
         a_n, a_d = cross.center[self.axis].as_integer_ratio()
         buckets = self._groups.setdefault(k, {})
         b = (a_n << k) // (a_d << 1)
-        buckets[b] = (a_n, a_d, self._levels[-1], buckets.get(b))
+        buckets.setdefault(b, []).append((a_n, a_d, self._levels[-1]))
         for level in found:
             self._levels[level].append(cross.level)
 
@@ -150,9 +147,6 @@ class ParameterTable:
         self._crosses = crosses
         self._level = (pairing.x_level, pairing.y_level)[axis]
         self._axis = axis
-
-    def __len__(self) -> int:
-        return len(self._crosses)
 
     def __getitem__(self, level: int) -> tuple[Rational, ...]:
         cross = self._crosses[level]
@@ -197,7 +191,8 @@ class WovenFunction:
             raise RuntimeError(
                 f"levels build in order: expected {len(self.crosses)}, got {level}"
             )
-        self.pairing.ensure_length(level + 1)
+        if len(self.pairing) <= level:  # lookups often run the pairing ahead of the tower
+            self.pairing.extend(level + 1 - len(self.pairing))
         center = self.pairing.pairs[level]
         # the new column meets the earlier rows, screened by x, and its row
         # the earlier columns, screened by y; the cross takes them row first

@@ -1,7 +1,7 @@
 """Per-level interpolants: hat, tents, exact interpolation, Lipschitz bounds.
 
 The linear-scan reference that the sparse crosses are compared against is
-`verify`'s, the package's only one; its own unit tests live here with the
+`oracle`'s, the package's only one; its own unit tests live here with the
 comparisons that rely on it.
 """
 

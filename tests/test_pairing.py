@@ -232,6 +232,18 @@ class TestPairingConstruction:
                 assert pairing.x_level(x) == n
                 assert pairing.y_level(y) == n
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_extending_by_no_steps_appends_nothing(self, steps):
+        """A count of 0 or less appends nothing, to an empty pairing or to
+        one with pairs."""
+        pairing = Pairing()
+        pairing.extend(steps)
+        assert len(pairing) == 0
+        pairing.extend(5)
+        first = list(pairing.pairs)
+        pairing.extend(steps)
+        assert pairing.pairs == first
+
     @given(st.integers(min_value=0, max_value=120), st.integers(min_value=0, max_value=120))
     @settings(max_examples=25, deadline=None)
     def test_growth_is_chunking_invariant(self, first, second):

@@ -101,28 +101,27 @@ class TestDecimalApprox:
         assert decimal_approx(Fraction(-3, 8)) == "-0.375"
 
     def test_matches_the_local_context_quotient(self):
-        """The string equals the quotient under a local context of `digits`
+        """The string equals the quotient under a local context of 20 digits'
         precision, on random rationals, on 0, on 1 and on rounding ties."""
         rng = random.Random(11)
         cases = []
         for _ in range(2000):
-            digits = rng.randint(1, 25)
             kind = rng.randrange(4)
             if kind == 0:
                 value = Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**12))
             elif kind == 1:
                 value = rng.choice((Fraction(0), Fraction(1), Fraction(-1)))
             else:
-                # a tie: exactly halfway between two `digits`-digit decimals
-                m = rng.randrange(10 ** (digits - 1), 10**digits)
+                # a tie: exactly halfway between two 20-digit decimals
+                m = rng.randrange(10**19, 10**20)
                 value = Fraction(2 * m + 1, 2) * Fraction(10) ** rng.randint(-30, 30)
                 value *= rng.choice((1, -1))
-            cases.append((value, digits))
-        for value, digits in cases:
+            cases.append(value)
+        for value in cases:
             with localcontext() as ctx:
-                ctx.prec = digits
+                ctx.prec = 20
                 expected = str(Decimal(value.numerator) / Decimal(value.denominator))
-            assert decimal_approx(value, digits) == expected, (value, digits)
+            assert decimal_approx(value) == expected, value
 
 
 class TestEnumeration:
@@ -183,6 +182,16 @@ class TestEnumeration:
     def test_round_trip_property(self, n):
         """index_of(enumerate(n)) = n, including far beyond the dense prefix."""
         assert index_of(enumerate_rational(n)) == n
+
+    @given(
+        st.fractions(
+            min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=1000
+        )
+    )
+    def test_value_round_trip_property(self, value):
+        """enumerate(index_of(q)) = q from the value side, where a single
+        continued-fraction run of `_tree_index` can be about 1 000 long."""
+        assert enumerate_rational(index_of(value)) == value
 
 
 class TestExactArithmetic:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import gc
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -208,6 +209,37 @@ class TestScreenedBuild:
         with pytest.raises(ValueError, match="pairwise distinct"):
             screen.prescribed(Fraction(1), [cross])
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_one_bucket_holds_several_coordinates(self, order):
+        """Levels 0, 1 and 2, of radius 1, sit at x = 0, 1/2 and 3/2: all in
+        group 0 and its bucket [0, 2).  Whatever order they enter it in, each
+        level within its radius of t is found, with its value on its row
+        (1 - d at level 0, (1 - d)^2 above it), and so is the nearest
+        distance within the window."""
+        xs = (Fraction(0), Fraction(1, 2), Fraction(3, 2))
+        centers = [(x, Fraction(5 + level)) for level, x in enumerate(xs)]
+        crosses = [
+            build_cross(level, center, ([], []), Fraction(1))
+            for level, center in enumerate(centers)
+        ]
+        screen = Screen(0)
+        for level in order:
+            screen.add(crosses[level], [])
+        f = Fraction
+        cases = {
+            # t: (the levels found, each with its value), nearest distance
+            f(3, 4): ([(0, f(1, 4)), (1, f(9, 16)), (2, f(1, 16))], f(1, 4)),
+            f(1): ([(1, f(1, 4)), (2, f(1, 4))], f(1, 2)),
+            f(1, 8): ([(0, f(7, 8)), (1, f(25, 64))], f(1, 8)),
+            # the window (t - 2, t + 2) leaves out 3/2, and 1/2 is a radius away
+            f(-1, 2): ([(0, f(1, 2))], f(1, 2)),
+        }
+        for t, (hits, nearest) in cases.items():
+            anchors, found, gap = screen.prescribed(t, crosses)
+            assert sorted(found) == [level for level, _ in hits]
+            assert sorted(anchors) == [(centers[level][1], value) for level, value in hits]
+            assert gap == nearest
+
     def test_evaluates_only_the_nonzero_parameters(self, monkeypatch):
         calls = 0
         value_at = CrossFunction.value_at
@@ -249,6 +281,16 @@ class TestLifecycle:
         fresh = WovenFunction()
         with pytest.raises(RuntimeError):
             fresh.build_level(5)
+
+    def test_a_long_enough_pairing_is_left_as_it_is(self):
+        tower = tower_on([Fraction(t) for t in (0, 2, 4)], [Fraction(t) for t in (1, 3, 5)])
+        tower.build_to(2)
+        assert len(tower.pairing) == 3
+
+    def test_the_pairing_grows_with_the_levels(self):
+        fresh = WovenFunction()
+        fresh.build_to(40)
+        assert len(fresh.pairing) == fresh.built_levels == 41
 
     def test_unbuilt_level_queries_rejected(self):
         fresh = WovenFunction()
